@@ -60,25 +60,22 @@ def random_targeted_attack(g: Graph, target: int, budget: int, seed: int) -> np.
         raise ValueError("budget must be >= 0")
     if budget == 0:
         return np.zeros((0, 2), dtype=np.int64)
-    nbrs = g.neighbor_sets()
-    closed = {int(target)} | nbrs[int(target)]
-    present = g.edge_set()
-    pool = set()
-    for u in closed:
-        for v in range(g.n_nodes):
-            if v == u:
-                continue
-            pair = (min(u, v), max(u, v))
-            if pair not in present:
-                pool.add(pair)
-    candidates = sorted(pool)
+    indptr, indices = g.csr
+    closed = np.append(indices[indptr[target] : indptr[target + 1]], target)
+    u = np.repeat(closed, g.n_nodes)
+    v = np.tile(np.arange(g.n_nodes), closed.size)
+    apart = u != v
+    u, v = u[apart], v[apart]
+    present = pair_slot(g.edges[:, 0], g.edges[:, 1], g.n_nodes)
+    slots = np.unique(pair_slot(np.minimum(u, v), np.maximum(u, v), g.n_nodes))
+    candidates = slots[~np.isin(slots, present, assume_unique=True)]
     if budget > len(candidates):
         raise BudgetInfeasibleError(
             f"budget {budget} exceeds {len(candidates)} feasible pairs around node {target}"
         )
     rng = np.random.default_rng(seed)
     picks = rng.choice(len(candidates), size=budget, replace=False)
-    return np.array([candidates[i] for i in sorted(picks.tolist())], dtype=np.int64)
+    return np.column_stack(slot_pair(candidates[np.sort(picks)], g.n_nodes))
 
 
 def random_global_attack(g: Graph, rate: float, seed: int) -> Graph:
@@ -91,7 +88,9 @@ def random_global_attack(g: Graph, rate: float, seed: int) -> Graph:
     n = g.n_nodes
     universe = n * (n - 1) // 2
     present = pair_slot(g.edges[:, 0], g.edges[:, 1], n)
-    absent = np.setdiff1d(np.arange(universe, dtype=np.int64), present)
+    is_absent = np.ones(universe, dtype=bool)
+    is_absent[present] = False
+    absent = np.flatnonzero(is_absent)
     if count > absent.size:
         raise BudgetInfeasibleError(
             f"cannot add {count} edges; only {absent.size} absent pairs"

@@ -1,25 +1,27 @@
 """Smoothed prediction by Monte-Carlo majority vote and robustness certification.
 
 For a target node, the k-hop subgraph is flattened into a structure vector;
-each of mu draws drops present edges independently, rebuilds the local graph,
-and votes with the downstream classifier on the encoder output of the center
-node. Vote counts give Beta-quantile confidence bounds, and the certified
+each of mu draws drops present edges independently, and one batched kernel
+classifies the center node's encoder output under every draw's keep mask.
+Vote counts give Beta-quantile confidence bounds, and the certified
 perturbation size is the largest k whose margin beats twice the collision
 bound Delta(k).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import brentq
 from scipy.special import betainc
 
 from .encoder import EncoderParams, relu
-from .graph import Graph, StructVector, khop_subgraph, slot_pair, to_struct_vector
-from .linear_eval import LogRegModel, predict
-from .noise import DeltaPolicy, EdgeDropSpec, apply_xor, delta_bound, sample_edgedrop
+from .graph import Graph, KhopSubgraph, StructVector, khop_subgraph, slot_pair, to_struct_vector
+from .linear_eval import LogRegModel, logits_many
+from .noise import DeltaPolicy, EdgeDropSpec, delta_bound, sample_edgedrop
 
 
 @dataclass(frozen=True)
@@ -159,31 +161,62 @@ def certified_accuracy(certs, truth, k_grid) -> list[tuple[int, float]]:
     return curve
 
 
-def _center_class(
+# Working-memory budget of one center_logits chunk; fixes how many draws share
+# one batched propagation.
+CHUNK_BYTES = 1 << 18
+
+
+def center_logits(
     edges: np.ndarray,
-    n: int,
-    XW1: np.ndarray,
+    keep: np.ndarray,
+    features: np.ndarray,
     center: int,
     enc: EncoderParams,
     clf: LogRegModel,
-) -> int:
-    """Downstream class of the center node of a small dense subgraph.
+) -> np.ndarray:
+    """Center-node class logits of a local graph under each row of a keep mask.
 
-    Only the center row of the second propagation is materialized; XW1 is the
-    precomputed X @ W1 of the subgraph.
+    ``edges`` is the (d, 2) edge list of an n-node graph and ``keep`` a
+    (draws, d) boolean mask; row i of the (draws, n_classes) result is the
+    classifier's logits for ``center`` on the graph holding only the edges
+    with keep[i] set. The center row of the second propagation reads the
+    first only at the center's closed neighbourhood R, so each draw builds
+    just the (|R|, n) rows of its normalized adjacency. Draws run in chunks
+    of about CHUNK_BYTES of working memory.
     """
-    deg = np.bincount(edges.ravel(), minlength=n) if edges.size else np.zeros(n, dtype=np.int64)
-    dinv = 1.0 / np.sqrt(deg + 1.0)
-    A = np.zeros((n, n))
-    if edges.size:
-        w = dinv[edges[:, 0]] * dinv[edges[:, 1]]
-        A[edges[:, 0], edges[:, 1]] = w
-        A[edges[:, 1], edges[:, 0]] = w
-    idx = np.arange(n)
-    A[idx, idx] = dinv * dinv
-    R1 = relu(A @ XW1)
-    z = (A[center] @ R1) @ enc.W2
-    return predict(clf, z)
+    n = features.shape[0]
+    u, v = edges[:, 0], edges[:, 1]
+    R = np.unique(np.concatenate([[center], u[v == center], v[u == center]]))
+    r = R.size
+    row = np.full(n, -1, dtype=np.int64)
+    row[R] = np.arange(r)
+    # nonzeros of the (r, n) block, flat: edge entries in rows of R, then the diagonal
+    at_u = np.flatnonzero(row[u] >= 0)
+    at_v = np.flatnonzero(row[v] >= 0)
+    nz_edge = np.concatenate([at_u, at_v])
+    nz_flat = np.concatenate([row[u[at_u]] * n + v[at_u], row[v[at_v]] * n + u[at_v],
+                              np.arange(r) * n + R])
+    center_row = row[center] * n + R
+    # node-by-edge incidence: keep @ incidence.T is every draw's degree vector
+    incidence = sparse.csr_array(
+        (np.ones(2 * u.size), (np.concatenate([u, v]), np.tile(np.arange(u.size), 2))),
+        shape=(n, u.size),
+    )
+    XW1 = features @ enc.W1
+    # float64 words per draw: block rows, first-propagation rows, degrees, keep row
+    step = max(1, CHUNK_BYTES // (8 * (r * (n + XW1.shape[1]) + 2 * n + u.size)))
+    out = []
+    for lo in range(0, keep.shape[0], step):
+        kf = keep[lo : lo + step].astype(np.float64)
+        m = kf.shape[0]
+        dinv = 1.0 / np.sqrt((incidence @ kf.T).T + 1.0)
+        w = dinv[:, u[nz_edge]] * dinv[:, v[nz_edge]] * kf[:, nz_edge]
+        block = np.zeros((m, r * n))
+        block[:, nz_flat] = np.hstack([w, dinv[:, R] * dinv[:, R]])
+        H1 = relu(block.reshape(m * r, n) @ XW1).reshape(m, r, -1)
+        z = (block[:, None, center_row] @ H1)[:, 0] @ enc.W2
+        out.append(logits_many(clf, z))
+    return np.concatenate(out)
 
 
 def vote_on_struct_vector(
@@ -197,22 +230,36 @@ def vote_on_struct_vector(
     spec: EdgeDropSpec,
     seed: int,
 ) -> VoteTally:
-    """Monte-Carlo vote over mu edgedrop draws of a local structure vector."""
+    """Monte-Carlo vote over mu edgedrop draws of a local structure vector.
+
+    Draw i keeps the present slots its :func:`sample_edgedrop` leaves in
+    place; all draws are then classified at once by :func:`center_logits`.
+    """
     if mu < 1:
         raise ValueError("mu must be >= 1")
-    XW1 = features @ enc.W1
-    counts: dict[int, int] = {}
-    for i in range(1, mu + 1):
-        eps = sample_edgedrop(v, spec, seed, i)
-        noisy = apply_xor(v, eps)
-        if noisy.present.size:
-            u, w = slot_pair(noisy.present, n)
-            edges = np.column_stack([u, w])
-        else:
-            edges = np.zeros((0, 2), dtype=np.int64)
-        cls = _center_class(edges, n, XW1, center, enc, clf)
-        counts[cls] = counts.get(cls, 0) + 1
-    return VoteTally(counts=counts, mu=mu, target_node=center)
+    keep = np.ones((mu, v.n_present), dtype=bool)
+    for i in range(mu):
+        eps = sample_edgedrop(v, spec, seed, i + 1)
+        keep[i, np.searchsorted(v.present, eps.toggled)] = False
+    edges = np.column_stack(slot_pair(v.present, n))
+    classes = np.argmax(center_logits(edges, keep, features, center, enc, clf), axis=1)
+    return VoteTally(counts=dict(Counter(classes.tolist())), mu=mu, target_node=center)
+
+
+def _vote_subgraph(
+    sub: KhopSubgraph,
+    node: int,
+    enc: EncoderParams,
+    clf: LogRegModel,
+    mu: int,
+    spec: EdgeDropSpec,
+    seed: int,
+) -> VoteTally:
+    v = to_struct_vector(sub.graph)
+    tally = vote_on_struct_vector(
+        v, sub.graph.n_nodes, sub.graph.features, sub.center, enc, clf, mu, spec, seed
+    )
+    return VoteTally(counts=tally.counts, mu=mu, target_node=node)
 
 
 def smoothed_predict(
@@ -226,23 +273,19 @@ def smoothed_predict(
     seed: int,
 ) -> VoteTally:
     """Vote tally of the smoothed predictor at one node, deterministic given seed."""
-    sub = khop_subgraph(g, node, k_hop)
-    v = to_struct_vector(sub.graph)
-    tally = vote_on_struct_vector(
-        v, sub.graph.n_nodes, sub.graph.features, sub.center, enc, clf, mu, spec, seed
-    )
-    return VoteTally(counts=tally.counts, mu=mu, target_node=node)
+    return _vote_subgraph(khop_subgraph(g, node, k_hop), node, enc, clf, mu, spec, seed)
 
 
 def base_predict(g: Graph, node: int, enc: EncoderParams, clf: LogRegModel, k_hop: int) -> int:
     """Unsmoothed pipeline: classify the node from its clean k-hop subgraph.
 
-    Identical computation path to a single smoothed draw with no noise, so
-    smoothing with beta_drop = 0 reproduces it vote for vote.
+    The vote kernel with every edge kept, so smoothing with beta_drop = 0
+    reproduces it vote for vote.
     """
     sub = khop_subgraph(g, node, k_hop)
-    XW1 = sub.graph.features @ enc.W1
-    return _center_class(sub.graph.edges, sub.graph.n_nodes, XW1, sub.center, enc, clf)
+    keep = np.ones((1, sub.graph.n_edges), dtype=bool)
+    logits = center_logits(sub.graph.edges, keep, sub.graph.features, sub.center, enc, clf)
+    return int(np.argmax(logits[0]))
 
 
 def certify_node(
@@ -262,7 +305,7 @@ def certify_node(
     """Full certification of one node: vote, bound, scan for the certified size."""
     sub = khop_subgraph(g, node, k_hop)
     d = sub.graph.n_edges
-    tally = smoothed_predict(g, node, enc, clf, mu, spec, k_hop, seed)
+    tally = _vote_subgraph(sub, node, enc, clf, mu, spec, seed)
     bounds = confidence_bounds(tally, alpha, n_classes)
     cap = min(50, d) if k_max is None else k_max
     ck = certified_k(bounds, d, policy, spec, cap)

@@ -9,6 +9,7 @@ slot index for pair (u, v) is ``u*n - u*(u+1)//2 + (v-u-1)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -107,6 +108,19 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.bincount(self.edges.ravel(), minlength=self.n_nodes)
 
+    @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Adjacency as ``(indptr, indices)``: node u's neighbours are
+        ``indices[indptr[u]:indptr[u+1]]``. Built on first use, then cached."""
+        src = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
+        dst = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
+        indices = dst[np.argsort(src, kind="stable")]
+        indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=self.n_nodes), out=indptr[1:])
+        for arr in (indptr, indices):
+            arr.setflags(write=False)
+        return indptr, indices
+
     def neighbor_sets(self) -> list[set[int]]:
         out: list[set[int]] = [set() for _ in range(self.n_nodes)]
         for u, v in self.edges:
@@ -149,7 +163,7 @@ class StructVector:
             raise ValueError("universe must be non-negative")
         present = np.asarray(self.present, dtype=np.int64).ravel()
         if present.size:
-            if np.any(np.diff(present) <= 0):
+            if (present[1:] <= present[:-1]).any():
                 raise ValueError("present slots must be strictly increasing")
             if present[0] < 0 or present[-1] >= self.universe:
                 raise ValueError("slot index out of universe")
@@ -342,6 +356,14 @@ def normalized_adjacency(g: Graph) -> sparse.csr_array:
     return sparse.csr_array((vals, (rows, cols)), shape=(n, n))
 
 
+def _csr_rows(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Positions in ``indices`` of the neighbour lists of ``rows``, concatenated."""
+    starts = indptr[rows]
+    lens = indptr[rows + 1] - starts
+    offsets = np.repeat(starts - np.cumsum(lens) + lens, lens)
+    return offsets + np.arange(offsets.size)
+
+
 def khop_subgraph(g: Graph, center: int, k: int) -> KhopSubgraph:
     """Induced subgraph on nodes within distance <= k of center.
 
@@ -352,27 +374,27 @@ def khop_subgraph(g: Graph, center: int, k: int) -> KhopSubgraph:
         raise ValueError(f"center {center} out of range")
     if k < 0:
         raise ValueError("k must be >= 0")
-    nbrs = g.neighbor_sets()
-    reached = {int(center)}
-    frontier = {int(center)}
+    indptr, indices = g.csr
+    reached = np.zeros(g.n_nodes, dtype=bool)
+    reached[center] = True
+    frontier = np.array([center], dtype=np.int64)
     for _ in range(k):
-        nxt = set()
-        for u in frontier:
-            nxt |= nbrs[u] - reached
-        if not nxt:
+        nbrs = indices[_csr_rows(indptr, frontier)]
+        frontier = np.unique(nbrs[~reached[nbrs]])
+        if not frontier.size:
             break
-        reached |= nxt
-        frontier = nxt
-    kept = sorted(reached)
-    node_map = {old: new for new, old in enumerate(kept)}
-    mask = np.isin(g.edges[:, 0], kept) & np.isin(g.edges[:, 1], kept)
-    sub_edges = g.edges[mask]
-    if sub_edges.size:
-        lookup = np.full(g.n_nodes, -1, dtype=np.int64)
-        lookup[kept] = np.arange(len(kept))
-        sub_edges = lookup[sub_edges]
+        reached[frontier] = True
+    kept = np.flatnonzero(reached)
+    node_map = {old: new for new, old in enumerate(kept.tolist())}
+    # edges among kept nodes, each found once from its smaller endpoint
+    src = np.repeat(kept, indptr[kept + 1] - indptr[kept])
+    dst = indices[_csr_rows(indptr, kept)]
+    inner = reached[dst] & (src < dst)
+    lookup = np.full(g.n_nodes, -1, dtype=np.int64)
+    lookup[kept] = np.arange(kept.size)
+    sub_edges = np.column_stack([lookup[src[inner]], lookup[dst[inner]]])
     sub = Graph(
-        len(kept),
+        kept.size,
         sub_edges,
         g.features[kept],
         None if g.labels is None else g.labels[kept],

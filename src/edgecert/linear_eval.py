@@ -137,12 +137,19 @@ def predict(m: LogRegModel, z) -> int:
     return int(np.argmax(predict_proba(m, z)))
 
 
-def predict_many(m: LogRegModel, Z: np.ndarray) -> np.ndarray:
-    """Row-wise predictions for a matrix of embeddings."""
+def logits_many(m: LogRegModel, Z: np.ndarray) -> np.ndarray:
+    """Row-wise class logits ``Z @ W.T + b`` for a matrix of embeddings."""
     Z = np.ascontiguousarray(Z, dtype=np.float64)
     if Z.ndim != 2 or Z.shape[1] != m.d_dim:
         raise ValueError(f"expected n x {m.d_dim} embeddings, got {Z.shape}")
-    return np.argmax(Z @ m.W.T + m.b, axis=1)
+    if not np.all(np.isfinite(Z)):
+        raise ValueError("non-finite embedding")
+    return Z @ m.W.T + m.b
+
+
+def predict_many(m: LogRegModel, Z: np.ndarray) -> np.ndarray:
+    """Row-wise predictions for a matrix of embeddings."""
+    return np.argmax(logits_many(m, Z), axis=1)
 
 
 def save_logreg(path, m: LogRegModel) -> None:

@@ -37,7 +37,7 @@ class NoiseDraw:
 
     def __post_init__(self):
         toggled = np.asarray(self.toggled, dtype=np.int64).ravel()
-        if toggled.size and np.any(np.diff(toggled) <= 0):
+        if (toggled[1:] <= toggled[:-1]).any():
             raise ValueError("toggled slots must be strictly increasing")
         toggled.setflags(write=False)
         object.__setattr__(self, "toggled", toggled)

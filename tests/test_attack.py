@@ -58,6 +58,44 @@ def test_targeted_edges_touch_closed_neighborhood():
         assert u in closed or v in closed
 
 
+def _targeted_attack_oracle(g, target, budget, seed):
+    """Set-based reference: enumerate the feasible pairs as sorted tuples."""
+    closed = {target} | g.neighbor_sets()[target]
+    present = g.edge_set()
+    pool = set()
+    for u in closed:
+        for v in range(g.n_nodes):
+            pair = (min(u, v), max(u, v))
+            if v != u and pair not in present:
+                pool.add(pair)
+    candidates = sorted(pool)
+    if budget > len(candidates):
+        raise BudgetInfeasibleError(
+            f"budget {budget} exceeds {len(candidates)} feasible pairs around node {target}"
+        )
+    picks = np.random.default_rng(seed).choice(len(candidates), size=budget, replace=False)
+    return np.array([candidates[i] for i in sorted(picks.tolist())], dtype=np.int64)
+
+
+def test_targeted_matches_set_oracle():
+    for seed in range(3):
+        g = fixture_graph(seed)
+        for target in range(0, g.n_nodes, 3):
+            for budget in (1, 5, 12):
+                got = random_targeted_attack(g, target, budget, seed=100 * seed + target)
+                want = _targeted_attack_oracle(g, target, budget, 100 * seed + target)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_targeted_infeasible_message_matches_oracle():
+    g = Graph(4, np.array([[0, 1], [0, 2], [0, 3], [1, 2]]), np.zeros((4, 1)))
+    with pytest.raises(BudgetInfeasibleError) as want:
+        _targeted_attack_oracle(g, 0, 3, 0)
+    with pytest.raises(BudgetInfeasibleError) as got:
+        random_targeted_attack(g, 0, 3, seed=0)
+    assert str(got.value) == str(want.value)
+
+
 def test_targeted_star_graph_enumeration():
     # center 0 with leaves 1..3; new edge must be a leaf pair or leaf-to-4
     g = Graph(5, np.array([[0, 1], [0, 2], [0, 3]]), np.zeros((5, 1)))

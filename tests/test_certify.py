@@ -3,12 +3,14 @@ import pytest
 from scipy import integrate
 from scipy.special import gammaln
 
+import edgecert.certify as certify_mod
 from edgecert.certify import (
     Certificate,
     ConfidenceBounds,
     VoteTally,
     base_predict,
     beta_quantile,
+    center_logits,
     certified_accuracy,
     certified_k,
     certify_node,
@@ -17,10 +19,19 @@ from edgecert.certify import (
     smoothed_predict,
     vote_on_struct_vector,
 )
-from edgecert.encoder import forward, init_params
-from edgecert.graph import Graph, SbmConfig, khop_subgraph, sbm_generate, to_struct_vector
+from edgecert.cli import CONFIG_DEFAULTS, build_sbm_config, resolve_config, split_nodes
+from edgecert.encoder import forward, init_params, relu
+from edgecert.graph import (
+    Graph,
+    SbmConfig,
+    khop_subgraph,
+    sbm_generate,
+    slot_pair,
+    to_struct_vector,
+)
 from edgecert.linear_eval import fit_logreg, predict
-from edgecert.noise import DeltaPolicy, EdgeDropSpec
+from edgecert.noise import DeltaPolicy, EdgeDropSpec, apply_xor, sample_edgedrop
+from edgecert.trainer import train_res
 
 
 # ------------------------------------------------------------ beta quantile
@@ -301,6 +312,117 @@ def test_smoothed_predict_isolated_node():
     assert sum(tally.counts.values()) == 10
 
 
+# ------------------------------------------------ batched vote kernel
+
+
+def _center_embedding(edges, n, XW1, center, enc):
+    """Reference: center embedding of one local graph via a dense n x n rebuild."""
+    deg = np.bincount(edges.ravel(), minlength=n) if edges.size else np.zeros(n, dtype=np.int64)
+    dinv = 1.0 / np.sqrt(deg + 1.0)
+    A = np.zeros((n, n))
+    if edges.size:
+        w = dinv[edges[:, 0]] * dinv[edges[:, 1]]
+        A[edges[:, 0], edges[:, 1]] = w
+        A[edges[:, 1], edges[:, 0]] = w
+    idx = np.arange(n)
+    A[idx, idx] = dinv * dinv
+    R1 = relu(A @ XW1)
+    return (A[center] @ R1) @ enc.W2
+
+
+def _reference_logits(edges, keep, features, center, enc, clf):
+    XW1 = features @ enc.W1
+    n = features.shape[0]
+    return np.array([clf.W @ _center_embedding(edges[row], n, XW1, center, enc) + clf.b
+                     for row in keep])
+
+
+def _reference_vote(v, n, features, center, enc, clf, mu, spec, seed):
+    """Reference: the per-draw loop (noise draw, XOR, slot decode, dense rebuild)."""
+    XW1 = features @ enc.W1
+    counts = {}
+    for i in range(1, mu + 1):
+        noisy = apply_xor(v, sample_edgedrop(v, spec, seed, i))
+        edges = np.column_stack(slot_pair(noisy.present, n))
+        cls = predict(clf, _center_embedding(edges, n, XW1, center, enc))
+        counts[cls] = counts.get(cls, 0) + 1
+    return counts
+
+
+def _subgraph_cases():
+    g, enc, clf = tiny_pipeline(seed=5)
+    rng = np.random.default_rng(0)
+    for node in (0, 6, 13, 19):
+        sub = khop_subgraph(g, node, 2)
+        keep = rng.random((37, sub.graph.n_edges)) < 0.6
+        yield sub.graph.edges, keep, sub.graph.features, sub.center, enc, clf
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 1 << 12, 1 << 16, certify_mod.CHUNK_BYTES])
+def test_center_logits_match_dense_reference(monkeypatch, chunk_bytes):
+    # 37 draws is prime, so every chunk size in (1, 37) leaves a short last chunk
+    monkeypatch.setattr(certify_mod, "CHUNK_BYTES", chunk_bytes)
+    for case in _subgraph_cases():
+        got = center_logits(*case)
+        assert got.shape == (37, 2)
+        assert np.abs(got - _reference_logits(*case)).max() < 1e-12
+
+
+def test_center_logits_single_draw_and_edge_cases():
+    _, enc, clf = tiny_pipeline()
+    features = np.random.default_rng(1).standard_normal((4, 3))
+    no_edges = np.zeros((0, 2), dtype=np.int64)
+    isolated_center = np.array([[1, 2], [2, 3]])
+    for edges, keep in [
+        (no_edges, np.ones((3, 0), dtype=bool)),  # d = 0
+        (isolated_center, np.array([[True, True], [False, True]])),
+        (isolated_center, np.array([[True, False]])),  # mu = 1
+    ]:
+        got = center_logits(edges, keep, features, 0, enc, clf)
+        want = _reference_logits(edges, keep, features, 0, enc, clf)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() < 1e-12
+
+
+def test_vote_tallies_match_reference_loop_on_dense_fixture():
+    cfg = resolve_config(dict(CONFIG_DEFAULTS))
+    g = sbm_generate(build_sbm_config(cfg))
+    enc = train_res(g, cfg.train_config).params
+    train_idx, _, test_idx = split_nodes(g.n_nodes, cfg)
+    clf = fit_logreg(forward(g, enc).Z[train_idx], g.labels[train_idx])
+    for node in test_idx[:6]:
+        sub = khop_subgraph(g, int(node), int(cfg.raw["k_hop"]))
+        v = to_struct_vector(sub.graph)
+        args = (v, sub.graph.n_nodes, sub.graph.features, sub.center, enc, clf, 200,
+                cfg.edgedrop, 7)
+        assert vote_on_struct_vector(*args).counts == _reference_vote(*args)
+
+
+def test_non_finite_embedding_raises_on_batched_path():
+    g, enc, clf = tiny_pipeline()
+    features = g.features.copy()
+    features[3] = np.nan
+    bad = Graph(g.n_nodes, g.edges, features, g.labels)
+    with pytest.raises(ValueError, match="non-finite embedding"):
+        smoothed_predict(bad, 3, enc, clf, mu=5, spec=EdgeDropSpec(0.5), k_hop=2, seed=0)
+    with pytest.raises(ValueError, match="non-finite embedding"):
+        base_predict(bad, 3, enc, clf, k_hop=2)
+
+
+def test_certify_node_extracts_subgraph_once(monkeypatch):
+    g, enc, clf = tiny_pipeline()
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return khop_subgraph(*args)
+
+    monkeypatch.setattr(certify_mod, "khop_subgraph", counting)
+    certify_node(g, 3, enc, clf, mu=10, spec=EdgeDropSpec(0.5), alpha=0.01,
+                 n_classes=2, policy=DeltaPolicy("exact"), k_hop=2, seed=1)
+    assert len(calls) == 1
+
+
 # -------------------------------------- empirical soundness by enumeration
 
 
@@ -327,7 +449,7 @@ def test_certificate_sound_under_enumerated_perturbations():
     assert absent.size <= 8
     from itertools import combinations
 
-    from edgecert.noise import NoiseDraw, apply_xor
+    from edgecert.noise import NoiseDraw
 
     mu_big = 10_000
     reruns = 3

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgecert.attack import add_edges
 from edgecert.graph import (
     Graph,
     ParseError,
@@ -258,6 +259,30 @@ def test_khop_matches_bfs_oracle(seed, k):
     center = int(rng.integers(n))
     sub = khop_subgraph(g, center, k)
     assert set(sub.node_map) == _bfs_oracle(g, center, k)
+    # a graph with added edges is a new Graph and gets its own adjacency
+    pairs = np.array([[u, v] for u in range(n) for v in range(u + 1, n)], dtype=np.int64)
+    absent = pairs[~np.isin(pair_slot(pairs[:, 0], pairs[:, 1], n), to_struct_vector(g).present)]
+    extra = absent[rng.permutation(len(absent))[:3]]
+    attacked = add_edges(g, extra)
+    for c in {center, *extra.ravel().tolist()}:
+        sub = khop_subgraph(attacked, c, k)
+        assert set(sub.node_map) == _bfs_oracle(attacked, c, k)
+        kept = sorted(sub.node_map)
+        inside = [[sub.node_map[u], sub.node_map[v]] for u, v in attacked.edges.tolist()
+                  if u in sub.node_map and v in sub.node_map]
+        assert sub.graph.edges.tolist() == sorted(inside)
+        assert np.array_equal(sub.graph.features, attacked.features[kept])
+
+
+def test_csr_matches_neighbor_sets_and_is_cached():
+    g = make_graph(5, [[0, 1], [0, 3], [1, 2], [2, 3], [3, 4]])
+    indptr, indices = g.csr
+    assert g.csr[0] is indptr
+    nbrs = g.neighbor_sets()
+    for u in range(5):
+        assert sorted(indices[indptr[u]:indptr[u + 1]].tolist()) == sorted(nbrs[u])
+    empty = make_graph(3, [])
+    assert empty.csr[0].tolist() == [0, 0, 0, 0] and empty.csr[1].size == 0
 
 
 # -------------------------------------------------------------- struct vector
