@@ -14,9 +14,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import brentq
-from scipy.special import betainc
 
 from .encoder import EncoderParams, relu
 from .graph import Graph, KhopSubgraph, StructVector, khop_subgraph, slot_pair, to_struct_vector
@@ -80,6 +77,9 @@ def beta_quantile(q: float, u: float, w: float) -> float:
         raise ValueError("q must be in (0, 1)")
     if u <= 0.0 or w <= 0.0:
         raise ValueError("shape parameters must be positive")
+    from scipy.optimize import brentq
+    from scipy.special import betainc
+
     return float(brentq(lambda x: betainc(u, w, x) - q, 0.0, 1.0, xtol=1e-13))
 
 
@@ -197,11 +197,7 @@ def center_logits(
     nz_flat = np.concatenate([row[u[at_u]] * n + v[at_u], row[v[at_v]] * n + u[at_v],
                               np.arange(r) * n + R])
     center_row = row[center] * n + R
-    # node-by-edge incidence: keep @ incidence.T is every draw's degree vector
-    incidence = sparse.csr_array(
-        (np.ones(2 * u.size), (np.concatenate([u, v]), np.tile(np.arange(u.size), 2))),
-        shape=(n, u.size),
-    )
+    ends = np.concatenate([u, v])
     XW1 = features @ enc.W1
     # float64 words per draw: block rows, first-propagation rows, degrees, keep row
     step = max(1, CHUNK_BYTES // (8 * (r * (n + XW1.shape[1]) + 2 * n + u.size)))
@@ -209,7 +205,10 @@ def center_logits(
     for lo in range(0, keep.shape[0], step):
         kf = keep[lo : lo + step].astype(np.float64)
         m = kf.shape[0]
-        dinv = 1.0 / np.sqrt((incidence @ kf.T).T + 1.0)
+        # each draw's degree vector; sums of 0.0/1.0 weights are exact
+        flat = (np.arange(m)[:, None] * n + ends).ravel()
+        deg = np.bincount(flat, weights=np.tile(kf, 2).ravel(), minlength=m * n)
+        dinv = 1.0 / np.sqrt(deg.reshape(m, n) + 1.0)
         w = dinv[:, u[nz_edge]] * dinv[:, v[nz_edge]] * kf[:, nz_edge]
         block = np.zeros((m, r * n))
         block[:, nz_flat] = np.hstack([w, dinv[:, R] * dinv[:, R]])

@@ -20,7 +20,6 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .attack import AttackSpec, evasion_eval, write_attack_report
@@ -329,7 +328,6 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path) -> dict:
         l2=float(r["l2"]),
         max_iters=int(r["logreg_max_iters"]),
         tol=float(r["logreg_tol"]),
-        seed=cfg.seed,
     )
     preds_val = predict_many(clf, Z[val_idx])
     preds_test = predict_many(clf, Z[test_idx])
@@ -443,6 +441,8 @@ def cmd_report(cfg: ExperimentConfig, out_dir: Path) -> dict:
                 continue
             k, acc = line.split(",")
             curve.append([int(k), float(acc)])
+    import scipy
+
     report = {
         "schema_version": 1,
         "config_hash": config_hash(cfg),

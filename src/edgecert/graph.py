@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 class ParseError(ValueError):
@@ -256,6 +258,8 @@ def load_graph(edge_path, feature_path, label_path=None) -> tuple[Graph, LoadRep
             vec = np.array([float(t) for t in tokens[1:]], dtype=np.float64)
         except ValueError:
             raise ParseError(feature_path, lineno, "invalid feature value") from None
+        if not np.isfinite(vec).all():
+            raise ParseError(feature_path, lineno, "non-finite feature value")
         if width is None:
             width = vec.size
         elif vec.size != width:
@@ -347,6 +351,8 @@ def sbm_generate(cfg: SbmConfig) -> Graph:
 
 def normalized_adjacency(g: Graph) -> sparse.csr_array:
     """GCN propagation matrix D~^{-1/2} (A + I) D~^{-1/2} as sparse CSR."""
+    from scipy import sparse
+
     n = g.n_nodes
     dinv = 1.0 / np.sqrt(g.degrees() + 1.0)
     diag = np.arange(n, dtype=np.int64)

@@ -61,17 +61,14 @@ def fit_logreg(
     l2: float = 1e-4,
     max_iters: int = 500,
     tol: float = 1e-6,
-    seed: int = 0,
 ) -> LogRegModel:
     """Full-batch gradient descent with backtracking line search.
 
     Minimizes mean cross-entropy + (l2/2)*||W||^2 from a zero start until the
     gradient norm drops below tol or max_iters is reached (the model then
-    carries converged=False). The seed parameter is accepted for interface
-    stability; the solver itself is deterministic. Every class in
+    carries converged=False). The solver is deterministic. Every class in
     0..max(label) must appear at least once.
     """
-    del seed
     Z = np.ascontiguousarray(Z_train, dtype=np.float64)
     Y = np.asarray(labels, dtype=np.int64)
     if Z.ndim != 2 or Y.shape != (Z.shape[0],):

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import logsumexp
 
 from .encoder import EncoderParams, cosine_sim, forward
 from .graph import Graph
@@ -83,6 +81,9 @@ def fit_reverse_weibull(samples, lam: int) -> WeibullFit:
         hi *= 4.0
     if not (profile(lo) < 0 < profile(hi)):
         raise DegenerateFitError("profile likelihood has no root")
+    from scipy.optimize import brentq
+    from scipy.special import logsumexp
+
     sigma = float(brentq(profile, lo, hi, xtol=1e-8))
     log_scale = (logsumexp(sigma * y) - np.log(x.size)) / sigma
     return WeibullFit(a=float(np.exp(log_scale)), sigma=sigma, lambda_used=lam)

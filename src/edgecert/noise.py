@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .graph import StructVector
 
@@ -118,6 +117,8 @@ def delta_paper(d: int, e: int, k: int, spec: EdgeDropSpec) -> float:
         return 0.0
     if spec.beta_drop == 0.0:
         return 1.0
+    from scipy.special import gammaln
+
     log_ratio = (
         gammaln(d + 1)
         - gammaln(d - e + 1)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,3 +257,38 @@ def test_parallel_map_matches_sequential(tmp_path, monkeypatch):
     assert (out_seq / "certify_report.csv").read_bytes() == (
         out_par / "certify_report.csv"
     ).read_bytes()
+
+
+# Runs in a fresh interpreter, so modules imported by other tests do not count.
+_IMPORT_POLICY_SCRIPT = """
+import sys
+import numpy as np
+import edgecert, edgecert.cli
+from edgecert import (
+    EdgeDropSpec, SbmConfig, base_predict, fit_logreg, init_params, sbm_generate, smoothed_predict,
+)
+
+g = sbm_generate(SbmConfig(
+    blocks=2, nodes_per_block=6, p_in=0.6, p_out=0.1,
+    feature_centers=np.array([[1.0, -1.0], [-1.0, 1.0]]), feature_noise_sd=0.3, seed=0,
+))
+enc = init_params(g.f_dim, 4, g.f_dim, 4, seed=0)
+clf = fit_logreg(g.features, g.labels)
+base_predict(g, 0, enc, clf, k_hop=2)
+smoothed_predict(g, 0, enc, clf, mu=8, spec=EdgeDropSpec(0.5), k_hop=2, seed=0)
+heavy = ("scipy.sparse", "scipy.optimize", "scipy.special", "scipy.linalg")
+print(sorted(m for m in sys.modules if m.startswith(heavy)))
+"""
+
+
+def test_package_and_vote_load_no_scipy_submodule():
+    # every CLI stage is a fresh process, and gen and attack never call scipy:
+    # importing the package and voting must not pay for loading it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_POLICY_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -98,6 +98,15 @@ def test_load_graph_malformed_line_number(tmp_path):
         load_graph(tmp_path / "e.txt", tmp_path / "x.txt")
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+def test_load_graph_rejects_non_finite_feature(tmp_path, token):
+    write(tmp_path / "e.txt", ["0 1"])
+    write(tmp_path / "x.txt", ["# header", "0 1.0 2.0", f"1 0.5 {token}"])
+    with pytest.raises(ParseError, match=r":3: non-finite feature value") as info:
+        load_graph(tmp_path / "e.txt", tmp_path / "x.txt")
+    assert info.value.lineno == 3
+
+
 def test_load_graph_missing_feature_row(tmp_path):
     write(tmp_path / "e.txt", ["0 1"])
     write(tmp_path / "x.txt", ["0 1.0", "2 2.0"])
