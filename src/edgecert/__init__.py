@@ -48,6 +48,5 @@ from .noise import (
     delta_paper,
     mc_collision_estimate,
     sample_edgedrop,
-    sample_flip,
 )
 from .trainer import AugConfig, TrainConfig, TrainingError, augment, grad_check, info_nce_loss, train_res

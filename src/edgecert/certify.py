@@ -1,7 +1,8 @@
 """Smoothed prediction by Monte-Carlo majority vote and robustness certification.
 
 For a target node, the k-hop subgraph is flattened into a structure vector;
-each of mu draws drops present edges independently, and one batched kernel
+each of mu draws drops present edges independently, by a hash of the draw and
+the edge's global identity, and one batched kernel
 classifies the center node's encoder output under every draw's keep mask.
 Vote counts give Beta-quantile confidence bounds, and the certified
 perturbation size is the largest k whose margin beats twice the collision
@@ -70,17 +71,16 @@ class Certificate:
 def beta_quantile(q: float, u: float, w: float) -> float:
     """q-th quantile of Beta(u, w).
 
-    Solves I_x(u, w) = q for x via bracketed root finding on the regularized
-    incomplete beta function, to absolute tolerance well below 1e-10.
+    Inverts the regularized incomplete beta function I_x(u, w) = q with
+    ``scipy.special.betaincinv``.
     """
     if not (0.0 < q < 1.0):
         raise ValueError("q must be in (0, 1)")
     if u <= 0.0 or w <= 0.0:
         raise ValueError("shape parameters must be positive")
-    from scipy.optimize import brentq
-    from scipy.special import betainc
+    from scipy.special import betaincinv
 
-    return float(brentq(lambda x: betainc(u, w, x) - q, 0.0, 1.0, xtol=1e-13))
+    return float(betaincinv(u, w, q))
 
 
 def majority_class(t: VoteTally) -> int:
@@ -220,7 +220,7 @@ def center_logits(
 
 def vote_on_struct_vector(
     v: StructVector,
-    n: int,
+    nodes: np.ndarray,
     features: np.ndarray,
     center: int,
     enc: EncoderParams,
@@ -231,16 +231,17 @@ def vote_on_struct_vector(
 ) -> VoteTally:
     """Monte-Carlo vote over mu edgedrop draws of a local structure vector.
 
-    Draw i keeps the present slots its :func:`sample_edgedrop` leaves in
-    place; all draws are then classified at once by :func:`center_logits`.
+    ``nodes`` holds the global ids of the local nodes. Local edge (a, b) is
+    keyed by its global identity ``nodes[a] << 32 | nodes[b]``, one
+    :func:`sample_edgedrop` call draws the keep masks of all mu draws, and
+    :func:`center_logits` classifies them at once.
     """
-    if mu < 1:
-        raise ValueError("mu must be >= 1")
-    keep = np.ones((mu, v.n_present), dtype=bool)
-    for i in range(mu):
-        eps = sample_edgedrop(v, spec, seed, i + 1)
-        keep[i, np.searchsorted(v.present, eps.toggled)] = False
-    edges = np.column_stack(slot_pair(v.present, n))
+    nodes = np.asarray(nodes, dtype=np.uint64)
+    if nodes.size and int(nodes.max()) >> 32:
+        raise ValueError("global node ids must fit in 32 bits")
+    edges = np.column_stack(slot_pair(v.present, nodes.size))
+    keys = (nodes[edges[:, 0]] << np.uint64(32)) | nodes[edges[:, 1]]
+    keep = sample_edgedrop(keys, spec, seed, mu)
     classes = np.argmax(center_logits(edges, keep, features, center, enc, clf), axis=1)
     return VoteTally(counts=dict(Counter(classes.tolist())), mu=mu, target_node=center)
 
@@ -256,7 +257,7 @@ def _vote_subgraph(
 ) -> VoteTally:
     v = to_struct_vector(sub.graph)
     tally = vote_on_struct_vector(
-        v, sub.graph.n_nodes, sub.graph.features, sub.center, enc, clf, mu, spec, seed
+        v, sub.nodes, sub.graph.features, sub.center, enc, clf, mu, spec, seed
     )
     return VoteTally(counts=tally.counts, mu=mu, target_node=node)
 

@@ -213,8 +213,8 @@ class LoadReport:
 
 class KhopSubgraph(NamedTuple):
     graph: Graph
-    node_map: dict[int, int]  # old id -> new id
-    center: int  # new id of the center node
+    nodes: np.ndarray  # sorted global ids of the kept nodes; local id i is nodes[i]
+    center: int  # local id of the center node
 
 
 def _parse_int(token: str, path, lineno: int, what: str) -> int:
@@ -373,8 +373,8 @@ def _csr_rows(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def khop_subgraph(g: Graph, center: int, k: int) -> KhopSubgraph:
     """Induced subgraph on nodes within distance <= k of center.
 
-    New node ids follow the sorted order of the original ids; the node map
-    sends old ids to new ids and the center's new id is returned alongside.
+    Local node ids follow the sorted order of the original ids: local id i is
+    global id ``nodes[i]``. The center's local id is returned alongside.
     """
     if not (0 <= center < g.n_nodes):
         raise ValueError(f"center {center} out of range")
@@ -391,7 +391,7 @@ def khop_subgraph(g: Graph, center: int, k: int) -> KhopSubgraph:
             break
         reached[frontier] = True
     kept = np.flatnonzero(reached)
-    node_map = {old: new for new, old in enumerate(kept.tolist())}
+    kept.setflags(write=False)
     # edges among kept nodes, each found once from its smaller endpoint
     src = np.repeat(kept, indptr[kept + 1] - indptr[kept])
     dst = indices[_csr_rows(indptr, kept)]
@@ -405,7 +405,7 @@ def khop_subgraph(g: Graph, center: int, k: int) -> KhopSubgraph:
         g.features[kept],
         None if g.labels is None else g.labels[kept],
     )
-    return KhopSubgraph(sub, node_map, node_map[int(center)])
+    return KhopSubgraph(sub, kept, int(lookup[center]))
 
 
 def pair_slot(u, v, n: int):

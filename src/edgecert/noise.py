@@ -10,11 +10,13 @@ front of the same ``beta_drop**k`` factor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import StructVector
+from .rng import STREAM_EDGEDROP, derive_seed
 
 
 @dataclass(frozen=True)
@@ -64,28 +66,46 @@ class DeltaPolicy:
                 raise ValueError("e_fixed must be non-negative")
 
 
-def sample_edgedrop(
-    v: StructVector, spec: EdgeDropSpec, seed: int, draw_index: int
-) -> NoiseDraw:
-    """Drop each present slot independently with probability beta_drop.
+# splitmix64 increment and finalizer multipliers (Steele, Lea and Flood,
+# "Fast splittable pseudorandom number generators", OOPSLA 2014)
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
+_MUL2 = np.uint64(0x94D049BB133111EB)
 
-    Absent slots are never toggled. The draw is a pure function of
-    (seed, draw_index).
+
+def _mix64(x: np.ndarray, tmp: np.ndarray) -> None:
+    """splitmix64 finalizer, applied to the uint64 array x in place; tmp is scratch."""
+    np.right_shift(x, np.uint64(30), out=tmp)
+    x ^= tmp
+    x *= _MUL1
+    np.right_shift(x, np.uint64(27), out=tmp)
+    x ^= tmp
+    x *= _MUL2
+    np.right_shift(x, np.uint64(31), out=tmp)
+    x ^= tmp
+
+
+def sample_edgedrop(keys, spec: EdgeDropSpec, seed: int, mu: int) -> np.ndarray:
+    """(mu, d) keep mask of mu edgedrop draws over the d edges with these keys.
+
+    Draw i = 1..mu drops edge j iff U(s, i, keys[j]) < beta_drop, where U is
+    the top 53 bits of the counter-based hash mix(mix(s ^ key) + i * gamma)
+    times 2**-53 (mix is the splitmix64 finalizer, gamma its increment) and
+    s is the low 64 bits of ``derive_seed(seed, STREAM_EDGEDROP)``. A bit
+    depends only on (seed, draw, key), so an edge keeps the same bits in
+    every subgraph that holds it under the same key.
     """
-    rng = np.random.default_rng([seed, draw_index])
-    mask = rng.random(v.present.size) < spec.beta_drop
-    return NoiseDraw(v.present[mask])
-
-
-def sample_flip(
-    v: StructVector, p_flip: float, seed: int, draw_index: int
-) -> NoiseDraw:
-    """Toggle every slot in the universe (present or absent) with p_flip."""
-    if not (0.0 <= p_flip <= 1.0):
-        raise ValueError("p_flip must be in [0, 1]")
-    rng = np.random.default_rng([seed, draw_index])
-    mask = rng.random(v.universe) < p_flip
-    return NoiseDraw(np.nonzero(mask)[0].astype(np.int64))
+    if mu < 1:
+        raise ValueError("mu must be >= 1")
+    s = np.uint64(derive_seed(seed, STREAM_EDGEDROP) & 0xFFFF_FFFF_FFFF_FFFF)
+    state = np.asarray(keys, dtype=np.uint64).ravel() ^ s
+    _mix64(state, np.empty_like(state))
+    x = state + np.arange(1, mu + 1, dtype=np.uint64)[:, None] * _GAMMA
+    tmp = np.empty_like(x)
+    _mix64(x, tmp)
+    # (x >> 11) * 2**-53 < beta  <=>  x >> 11 < ceil(beta * 2**53), exactly
+    np.right_shift(x, np.uint64(11), out=tmp)
+    return tmp >= np.uint64(math.ceil(spec.beta_drop * 2.0**53))
 
 
 def apply_xor(v: StructVector, eps: NoiseDraw) -> StructVector:

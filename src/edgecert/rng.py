@@ -18,6 +18,7 @@ STREAM_CERTIFY = 6
 STREAM_ATTACK = 7
 STREAM_GRADCHECK = 8
 STREAM_TARGETS = 9
+STREAM_EDGEDROP = 10
 
 
 def derive_seed(root: int, *path: int) -> int:

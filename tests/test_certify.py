@@ -4,6 +4,7 @@ from scipy import integrate
 from scipy.special import gammaln
 
 import edgecert.certify as certify_mod
+from edgecert.attack import add_edges
 from edgecert.certify import (
     Certificate,
     ConfidenceBounds,
@@ -25,12 +26,14 @@ from edgecert.graph import (
     Graph,
     SbmConfig,
     khop_subgraph,
+    pair_slot,
     sbm_generate,
     slot_pair,
     to_struct_vector,
 )
 from edgecert.linear_eval import fit_logreg, predict
-from edgecert.noise import DeltaPolicy, EdgeDropSpec, apply_xor, sample_edgedrop
+from edgecert.noise import DeltaPolicy, EdgeDropSpec, NoiseDraw, apply_xor, sample_edgedrop
+from edgecert.rng import derive_seed
 from edgecert.trainer import train_res
 
 
@@ -78,6 +81,20 @@ def test_beta_quantile_domain_errors():
         beta_quantile(1.0, 1, 1)
     with pytest.raises(ValueError):
         beta_quantile(0.5, 0.0, 1)
+
+
+def test_beta_quantile_matches_brentq_reference():
+    # the previous root-finding solver, on the shapes confidence_bounds asks for
+    from scipy.optimize import brentq
+    from scipy.special import betainc
+
+    for mu in (1, 2, 7, 200, 1000):
+        for m in sorted({0, 1, mu // 3, mu - 1, mu}):
+            for q in (0.0005, 0.0033, 0.9967, 0.9995):
+                for u, w in ((m, mu - m + 1), (m + 1, mu - m)):
+                    if u > 0 and w > 0:
+                        ref = brentq(lambda x: betainc(u, w, x) - q, 0.0, 1.0, xtol=1e-13)
+                        assert abs(beta_quantile(q, u, w) - ref) <= 1e-12
 
 
 # ------------------------------------------------------------ vote tallies
@@ -337,12 +354,21 @@ def _reference_logits(edges, keep, features, center, enc, clf):
                      for row in keep])
 
 
-def _reference_vote(v, n, features, center, enc, clf, mu, spec, seed):
-    """Reference: the per-draw loop (noise draw, XOR, slot decode, dense rebuild)."""
+def _edge_keys(nodes, edges):
+    """Global identity nodes[a] << 32 | nodes[b] of each local edge (a, b)."""
+    return np.array([int(nodes[a]) << 32 | int(nodes[b]) for a, b in edges.tolist()],
+                    dtype=np.uint64)
+
+
+def _reference_vote(v, nodes, features, center, enc, clf, mu, spec, seed):
+    """Reference: the per-draw loop (XOR the dropped slots, slot decode, dense rebuild)."""
+    n = nodes.size
     XW1 = features @ enc.W1
+    keep = sample_edgedrop(_edge_keys(nodes, np.column_stack(slot_pair(v.present, n))),
+                           spec, seed, mu)
     counts = {}
-    for i in range(1, mu + 1):
-        noisy = apply_xor(v, sample_edgedrop(v, spec, seed, i))
+    for row in keep:
+        noisy = apply_xor(v, NoiseDraw(v.present[~row]))
         edges = np.column_stack(slot_pair(noisy.present, n))
         cls = predict(clf, _center_embedding(edges, n, XW1, center, enc))
         counts[cls] = counts.get(cls, 0) + 1
@@ -393,9 +419,46 @@ def test_vote_tallies_match_reference_loop_on_dense_fixture():
     for node in test_idx[:6]:
         sub = khop_subgraph(g, int(node), int(cfg.raw["k_hop"]))
         v = to_struct_vector(sub.graph)
-        args = (v, sub.graph.n_nodes, sub.graph.features, sub.center, enc, clf, 200,
+        args = (v, sub.nodes, sub.graph.features, sub.center, enc, clf, 200,
                 cfg.edgedrop, 7)
         assert vote_on_struct_vector(*args).counts == _reference_vote(*args)
+
+
+def test_coupled_draws_match_clean_bit_for_bit():
+    # collision argument behind Delta(k), in-field case: a draw that drops every
+    # added edge keeps exactly the clean draw's edges, so the center's logits
+    # equal the clean ones bit for bit
+    g, enc, clf = tiny_pipeline(seed=5)
+    spec = EdgeDropSpec(0.5)
+    rng = np.random.default_rng(0)
+    coupled = differs = 0
+    for node in (0, 6, 13, 19):
+        sub = khop_subgraph(g, node, 2)
+        n = sub.graph.n_nodes
+        # absent pairs among the subgraph's nodes away from the center keep its node set
+        clean_slots = to_struct_vector(sub.graph).present
+        u, v = np.triu_indices(n, k=1)
+        free = ~np.isin(pair_slot(u, v, n), clean_slots)
+        free &= (u != sub.center) & (v != sub.center)
+        pick = rng.choice(np.flatnonzero(free), 3, replace=False)
+        attacked = add_edges(g, np.column_stack([sub.nodes[u[pick]], sub.nodes[v[pick]]]))
+        att = khop_subgraph(attacked, node, 2)
+        assert np.array_equal(att.nodes, sub.nodes)
+        seed = derive_seed(9, node)
+        clean_keep = sample_edgedrop(_edge_keys(sub.nodes, sub.graph.edges), spec, seed, 200)
+        att_keep = sample_edgedrop(_edge_keys(att.nodes, att.graph.edges), spec, seed, 200)
+        added = ~np.isin(pair_slot(att.graph.edges[:, 0], att.graph.edges[:, 1], n), clean_slots)
+        assert added.sum() == 3
+        assert np.array_equal(att_keep[:, ~added], clean_keep)
+        clean = center_logits(sub.graph.edges, clean_keep, sub.graph.features, sub.center,
+                              enc, clf)
+        hit = center_logits(att.graph.edges, att_keep, att.graph.features, att.center, enc, clf)
+        dropped_all = ~att_keep[:, added].any(axis=1)
+        assert np.array_equal(hit[dropped_all], clean[dropped_all])
+        coupled += int(dropped_all.sum())
+        differs += int((hit[~dropped_all] != clean[~dropped_all]).any(axis=1).sum())
+    # both kinds of draw occur, and a surviving added edge does move the logits
+    assert coupled > 0 and differs > 0
 
 
 def test_non_finite_embedding_raises_on_batched_path():
@@ -449,8 +512,6 @@ def test_certificate_sound_under_enumerated_perturbations():
     assert absent.size <= 8
     from itertools import combinations
 
-    from edgecert.noise import NoiseDraw
-
     mu_big = 10_000
     reruns = 3
     for size in range(1, min(ck, absent.size) + 1):
@@ -459,7 +520,7 @@ def test_certificate_sound_under_enumerated_perturbations():
             hold = 0
             for r in range(reruns):
                 tally = vote_on_struct_vector(
-                    v_pert, sub.graph.n_nodes, sub.graph.features, sub.center,
+                    v_pert, np.arange(sub.graph.n_nodes), sub.graph.features, sub.center,
                     enc, clf, mu=mu_big, spec=spec, seed=1000 + r,
                 )
                 hold += majority_class(tally) == cert_result.c_a

@@ -223,7 +223,7 @@ def test_khop_path_one_hop():
     sub = khop_subgraph(g, 0, 1)
     assert sub.graph.n_nodes == 2
     assert sub.graph.edges.tolist() == [[0, 1]]
-    assert sub.node_map == {0: 0, 1: 1}
+    assert sub.nodes.tolist() == [0, 1]
     assert sub.center == 0
 
 
@@ -232,6 +232,7 @@ def test_khop_zero_hops():
     sub = khop_subgraph(g, 1, 0)
     assert sub.graph.n_nodes == 1
     assert sub.graph.n_edges == 0
+    assert sub.nodes.tolist() == [1]
     assert sub.center == 0
 
 
@@ -267,7 +268,8 @@ def test_khop_matches_bfs_oracle(seed, k):
     g = sbm_generate(cfg)
     center = int(rng.integers(n))
     sub = khop_subgraph(g, center, k)
-    assert set(sub.node_map) == _bfs_oracle(g, center, k)
+    assert sub.nodes.tolist() == sorted(_bfs_oracle(g, center, k))
+    assert sub.nodes[sub.center] == center
     # a graph with added edges is a new Graph and gets its own adjacency
     pairs = np.array([[u, v] for u in range(n) for v in range(u + 1, n)], dtype=np.int64)
     absent = pairs[~np.isin(pair_slot(pairs[:, 0], pairs[:, 1], n), to_struct_vector(g).present)]
@@ -275,10 +277,11 @@ def test_khop_matches_bfs_oracle(seed, k):
     attacked = add_edges(g, extra)
     for c in {center, *extra.ravel().tolist()}:
         sub = khop_subgraph(attacked, c, k)
-        assert set(sub.node_map) == _bfs_oracle(attacked, c, k)
-        kept = sorted(sub.node_map)
-        inside = [[sub.node_map[u], sub.node_map[v]] for u, v in attacked.edges.tolist()
-                  if u in sub.node_map and v in sub.node_map]
+        kept = sorted(_bfs_oracle(attacked, c, k))
+        assert sub.nodes.tolist() == kept
+        local = {old: new for new, old in enumerate(kept)}
+        inside = [[local[u], local[v]] for u, v in attacked.edges.tolist()
+                  if u in local and v in local]
         assert sub.graph.edges.tolist() == sorted(inside)
         assert np.array_equal(sub.graph.features, attacked.features[kept])
 

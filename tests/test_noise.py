@@ -15,8 +15,8 @@ from edgecert.noise import (
     delta_paper,
     mc_collision_estimate,
     sample_edgedrop,
-    sample_flip,
 )
+from edgecert.rng import STREAM_EDGEDROP, derive_seed
 
 
 def sv(universe, present):
@@ -25,77 +25,91 @@ def sv(universe, present):
 
 # -------------------------------------------------------------- edgedrop
 
+M64 = (1 << 64) - 1
+
+
+def _mix64(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & M64
+    return z ^ (z >> 31)
+
+
+def _dropped(seed, draw, key, beta):
+    """Scalar reference of the documented hash: does draw `draw` drop edge `key`?"""
+    s = derive_seed(seed, STREAM_EDGEDROP) & M64
+    x = _mix64((_mix64(s ^ key) + draw * 0x9E3779B97F4A7C15) & M64)
+    return (x >> 11) * 2.0**-53 < beta
+
+
+def test_edgedrop_matches_scalar_reference():
+    rng = np.random.default_rng(4)
+    keys = rng.integers(0, 1 << 63, size=30, dtype=np.uint64) | np.uint64(1 << 63)
+    keys[:10] = (np.uint64(17) << np.uint64(32)) | np.arange(10, dtype=np.uint64)
+    for beta in (0.1, 0.5, 0.9):
+        mask = sample_edgedrop(keys, EdgeDropSpec(beta), seed=123, mu=7)
+        want = [[not _dropped(123, i, int(k), beta) for k in keys] for i in range(1, 8)]
+        assert mask.tolist() == want
+
 
 def test_edgedrop_zero_probability_never_toggles():
-    v = sv(10, [0, 3, 7])
-    for i in range(20):
-        assert sample_edgedrop(v, EdgeDropSpec(0.0), seed=1, draw_index=i).toggled.size == 0
+    keys = np.array([0, 3, 7, 1 << 40], dtype=np.uint64)
+    mask = sample_edgedrop(keys, EdgeDropSpec(0.0), seed=1, mu=20)
+    assert mask.shape == (20, 4)
+    assert mask.all()
 
 
 def test_edgedrop_count_matches_binomial_oracle():
-    # mean of |toggled| over 10^4 draws vs Binomial(1000, 0.9)
-    d = 1000
-    v = sv(d, list(range(d)))
-    spec = EdgeDropSpec(0.9)
+    # mean of dropped edges over 10^4 draws vs Binomial(100, 0.9)
+    d = 100
     draws = 10_000
-    counts = np.array([sample_edgedrop(v, spec, seed=5, draw_index=i).toggled.size
-                       for i in range(draws)])
+    mask = sample_edgedrop(np.arange(d, dtype=np.uint64), EdgeDropSpec(0.9), seed=5, mu=draws)
+    counts = (~mask).sum(axis=1)
     se_mean = np.sqrt(d * 0.9 * 0.1) / np.sqrt(draws)
     assert abs(counts.mean() - d * 0.9) <= 3 * se_mean
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.floats(0.0, 0.99))
-def test_edgedrop_toggles_subset_of_present(seed, beta):
+def test_edgedrop_permuting_keys_permutes_columns(seed, beta):
+    # an edge's bits follow its key, not its position: clean and attacked draws couple
     rng = np.random.default_rng(seed)
-    present = np.unique(rng.integers(0, 100, size=20))
-    v = sv(100, present)
-    draw = sample_edgedrop(v, EdgeDropSpec(beta), seed=seed, draw_index=3)
-    assert np.isin(draw.toggled, v.present).all()
+    keys = np.unique(rng.integers(0, 1 << 40, size=20)).astype(np.uint64)
+    perm = rng.permutation(keys.size)
+    spec = EdgeDropSpec(beta)
+    mask = sample_edgedrop(keys, spec, seed=seed, mu=5)
+    assert np.array_equal(sample_edgedrop(keys[perm], spec, seed=seed, mu=5), mask[:, perm])
 
 
 def test_edgedrop_deterministic_per_key():
-    v = sv(50, list(range(0, 50, 2)))
+    keys = np.arange(0, 50, 2, dtype=np.uint64)
     spec = EdgeDropSpec(0.5)
-    a = sample_edgedrop(v, spec, seed=11, draw_index=4)
-    b = sample_edgedrop(v, spec, seed=11, draw_index=4)
-    c = sample_edgedrop(v, spec, seed=11, draw_index=5)
-    assert np.array_equal(a.toggled, b.toggled)
-    assert not np.array_equal(a.toggled, c.toggled)
+    a = sample_edgedrop(keys, spec, seed=11, mu=6)
+    assert np.array_equal(a, sample_edgedrop(keys, spec, seed=11, mu=6))
+    # a bit depends on (seed, draw, key) only: not on mu, nor on the other keys
+    assert np.array_equal(sample_edgedrop(keys, spec, seed=11, mu=9)[:6], a)
+    assert np.array_equal(sample_edgedrop(keys[2:3], spec, seed=11, mu=6)[:, 0], a[:, 2])
+    assert not np.array_equal(a, sample_edgedrop(keys, spec, seed=12, mu=6))
+    with pytest.raises(ValueError, match="mu"):
+        sample_edgedrop(keys, spec, seed=11, mu=0)
+
+
+def _pair_chi_square(outcomes):
+    table = np.zeros((2, 2))
+    for x, y in zip(outcomes[0::2], outcomes[1::2]):
+        table[int(x), int(y)] += 1
+    return chi2_contingency(table)[0]
 
 
 def test_edgedrop_draws_independent_chi_square():
-    # pair counts of (draw 2t, draw 2t+1) outcomes for one slot
-    v = sv(1, [0])
+    # pair counts of (draw 2t, draw 2t+1) outcomes for one key
     spec = EdgeDropSpec(0.5)
-    outcomes = np.array([sample_edgedrop(v, spec, seed=2, draw_index=i).toggled.size
-                         for i in range(4000)])
-    table = np.zeros((2, 2))
-    for x, y in zip(outcomes[0::2], outcomes[1::2]):
-        table[x, y] += 1
-    stat = chi2_contingency(table)[0]
-    assert stat < 10.83  # chi-square(1) critical value at p=0.001
-
-
-# ------------------------------------------------------------------ flip
-
-
-def test_flip_zero_is_identity_draw():
-    v = sv(10, [1, 2])
-    assert sample_flip(v, 0.0, seed=1, draw_index=1).toggled.size == 0
-
-
-def test_flip_one_toggles_entire_universe():
-    v = sv(10, [1, 2])
-    assert sample_flip(v, 1.0, seed=1, draw_index=1).toggled.tolist() == list(range(10))
-
-
-def test_flip_count_matches_binomial_oracle():
-    v = sv(10_000, [])
-    counts = np.array([sample_flip(v, 0.1, seed=7, draw_index=i).toggled.size
-                       for i in range(200)])
-    se_mean = np.sqrt(10_000 * 0.1 * 0.9) / np.sqrt(200)
-    assert abs(counts.mean() - 1000) <= 3 * se_mean
+    outcomes = sample_edgedrop(np.array([9], dtype=np.uint64), spec, seed=2, mu=4000)[:, 0]
+    assert _pair_chi_square(outcomes) < 10.83  # chi-square(1) critical value at p=0.001
+    # pair counts of (key 2t, key 2t+1) outcomes within one draw; sequential
+    # counters are the classic weak spot of a counter-based generator
+    keys = (np.uint64(3) << np.uint64(32)) | np.arange(4000, dtype=np.uint64)
+    for row in sample_edgedrop(keys, spec, seed=2, mu=3):
+        assert _pair_chi_square(row) < 10.83
 
 
 # ------------------------------------------------------------------- xor
