@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .attack import AttackSpec, evasion_eval, write_attack_report
 from .certify import certified_accuracy, certify_node, write_certification_report, write_curve
-from .encoder import forward, load_params, save_params
+from .encoder import DEPTH, forward, load_params, save_params
 from .graph import Graph, SbmConfig, load_graph, sbm_generate
 from .linear_eval import fit_logreg, load_logreg, predict_many, save_logreg
 from .noise import DeltaPolicy, EdgeDropSpec
@@ -178,6 +178,11 @@ def resolve_config(values: dict) -> ExperimentConfig:
         raise ValueError("alpha must be in (0, 1)")
     if values["dataset"] not in ("sbm", "files"):
         raise ValueError(f"unknown dataset kind {values['dataset']!r}")
+    if int(values["k_hop"]) < DEPTH:
+        raise ValueError(
+            f"k_hop must be >= {DEPTH}, the encoder's depth; "
+            f"k_hop = {values['k_hop']} cuts off the receptive field"
+        )
     return ExperimentConfig(raw=values)
 
 

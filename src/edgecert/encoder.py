@@ -17,6 +17,9 @@ import numpy as np
 from .checkpoint import read_checkpoint, write_checkpoint
 from .graph import Graph, normalized_adjacency
 
+# Propagation steps in forward: a node's output reads its DEPTH-hop neighbourhood.
+DEPTH = 2
+
 
 @dataclass(frozen=True)
 class EncoderParams:

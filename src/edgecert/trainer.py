@@ -20,6 +20,9 @@ from .rng import STREAM_AUGMENT, STREAM_GRADCHECK, STREAM_INIT, STREAM_TRAIN_NOI
 
 _PARAM_NAMES = ("W1", "W2", "P1", "b1", "P2", "b2")
 
+# Scratch memory for one row block of the InfoNCE log-sum-exp, in bytes.
+NCE_BLOCK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class AugConfig:
@@ -93,8 +96,56 @@ def _drop_edges(g: Graph, p_drop: float, rng: np.random.Generator) -> Graph:
     return Graph(g.n_nodes, g.edges[keep], g.features, g.labels)
 
 
+def _block_lse(E12: np.ndarray, E11: np.ndarray, E22: np.ndarray):
+    """Row log-sum-exps of [E12 | E11] and of [E12.T | E22].
+
+    Each block of rows is copied into one contiguous (rows, 2n) buffer, so
+    every row is summed in the same pairwise order as a full-width row.
+    """
+    n = E12.shape[0]
+    lse1 = np.empty(n)
+    lse2 = np.empty(n)
+    rows = max(1, NCE_BLOCK_BYTES // (16 * n))
+    buf = np.empty((min(rows, n), 2 * n))
+    for lo in range(0, n, rows):
+        blk = slice(lo, min(lo + rows, n))
+        both = buf[: blk.stop - lo]
+        for lse, cross, intra in ((lse1, E12[blk], E11[blk]), (lse2, E12[:, blk].T, E22[blk])):
+            both[:, :n] = cross
+            both[:, n:] = intra
+            m = both.max(axis=1)
+            both -= m[:, None]
+            np.exp(both, out=both)
+            lse[blk] = m + np.log(both.sum(axis=1))
+    return lse1, lse2
+
+
+def _sym_weights(E: np.ndarray, lse: np.ndarray, c: float) -> np.ndarray:
+    """c * (w + w.T) for w = exp(E - lse[:, None]), overwriting E.
+
+    E must be exactly symmetric, so w.T[i, j] = exp(E[i, j] - lse[j]) is
+    computed elementwise without reading E transposed.
+    """
+    S = E - lse[:, None]
+    np.exp(S, out=S)
+    S *= c
+    E -= lse
+    np.exp(E, out=E)
+    E *= c
+    S += E
+    return S
+
+
 def _nce_terms(H1: np.ndarray, H2: np.ndarray, tau: float, need_grad: bool):
-    """Symmetric InfoNCE loss and, optionally, gradients w.r.t. H1 and H2."""
+    """Symmetric InfoNCE loss and, optionally, gradients w.r.t. H1 and H2.
+
+    Anchor i of view 1 scores its positive E12[i, i] against row i of E12 and
+    of E11 (self excluded); anchor j of view 2 against column j of E12 and
+    row j of E22. The log-sum-exps run one row block of [cross | intra] at a
+    time in a scratch buffer of about NCE_BLOCK_BYTES, and the softmax
+    weights are recomputed elementwise instead of transposed, so the working
+    set is about four n x n arrays.
+    """
     if H1.shape != H2.shape:
         raise ValueError("view embeddings must have the same shape")
     n = H1.shape[0]
@@ -105,37 +156,30 @@ def _nce_terms(H1: np.ndarray, H2: np.ndarray, tau: float, need_grad: bool):
     N1 = H1 / r1[:, None]
     N2 = H2 / r2[:, None]
     E12 = (N1 @ N2.T) / tau
-    E11 = (N1 @ N1.T) / tau
+    E11 = (N1 @ N1.T) / tau  # N @ N.T is exactly symmetric (one triangle, mirrored)
     E22 = (N2 @ N2.T) / tau
-    neg_inf = -np.inf
-    np.fill_diagonal(E11, neg_inf)
-    np.fill_diagonal(E22, neg_inf)
+    np.fill_diagonal(E11, -np.inf)
+    np.fill_diagonal(E22, -np.inf)
 
-    def direction(cross, intra):
-        # anchor i: positive = cross[i, i]; denominator = all cross + intra (no self)
-        both = np.concatenate([cross, intra], axis=1)
-        m = both.max(axis=1)
-        lse = m + np.log(np.exp(both - m[:, None]).sum(axis=1))
-        losses = lse - np.diag(cross)
-        if not need_grad:
-            return losses, None, None
-        w_cross = np.exp(cross - lse[:, None])
-        w_intra = np.exp(intra - lse[:, None])
-        return losses, w_cross, w_intra
-
-    l1, w12, w11 = direction(E12, E11)
-    l2, w21, w22 = direction(E12.T, E22)
-    loss = float((l1.mean() + l2.mean()) / 2.0)
+    lse1, lse2 = _block_lse(E12, E11, E22)
+    loss = float(((lse1 - np.diag(E12)).mean() + (lse2 - np.diag(E12)).mean()) / 2.0)
     if not need_grad:
         return loss, None, None
 
-    eye = np.eye(n)
+    # G12 = c * ((w12 - I) + (w21 - I).T), with w21.T[i, j] = exp(E12[i, j] - lse2[j])
     c = 1.0 / (2.0 * n * tau)
-    G12 = c * ((w12 - eye) + (w21 - eye).T)
-    G11 = c * w11
-    G22 = c * w22
-    dN1 = G12 @ N2 + (G11 + G11.T) @ N1
-    dN2 = G12.T @ N1 + (G22 + G22.T) @ N2
+    G12 = E12 - lse1[:, None]
+    np.exp(G12, out=G12)
+    E12 -= lse2
+    np.exp(E12, out=E12)
+    diag = (np.diag(G12) - 1.0) + (np.diag(E12) - 1.0)
+    G12 += E12
+    del E12
+    np.fill_diagonal(G12, diag)
+    G12 *= c
+    dN1 = G12 @ N2 + _sym_weights(E11, lse1, c) @ N1
+    del E11
+    dN2 = G12.T @ N1 + _sym_weights(E22, lse2, c) @ N2
 
     def through_norm(dN, N, r):
         return (dN - (dN * N).sum(axis=1, keepdims=True) * N) / r[:, None]

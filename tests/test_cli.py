@@ -72,6 +72,17 @@ def test_resolve_config_validates_fractions():
         resolve_config(values)
 
 
+@pytest.mark.parametrize("k_hop", [0, 1])
+def test_resolve_config_rejects_k_hop_below_encoder_depth(k_hop):
+    # a node's embedding reads its 2-hop neighbourhood; a smaller k-hop
+    # subgraph silently truncates it
+    values = {**CONFIG_DEFAULTS, "k_hop": k_hop}
+    with pytest.raises(ValueError, match="k_hop"):
+        resolve_config(values)
+    assert int(resolve_config({**CONFIG_DEFAULTS, "k_hop": 2}).raw["k_hop"]) == 2
+    assert int(resolve_config({**CONFIG_DEFAULTS, "k_hop": 3}).raw["k_hop"]) == 3
+
+
 def test_config_hash_changes_iff_config_changes(tmp_path):
     cfg_a = parse_config(small_config(tmp_path))
     cfg_b = parse_config(small_config(tmp_path))

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import edgecert.trainer as trainer_mod
 from edgecert.encoder import init_params
 from edgecert.graph import SbmConfig, sbm_generate
 from edgecert.trainer import (
@@ -10,6 +13,7 @@ from edgecert.trainer import (
     TrainConfig,
     TrainingError,
     _epoch_views,
+    _nce_terms,
     augment,
     grad_check,
     info_nce_loss,
@@ -127,6 +131,96 @@ def test_info_nce_positive_property(seed):
     H1 = rng.standard_normal((n, 5)) + 0.1
     H2 = rng.standard_normal((n, 5)) + 0.1
     assert info_nce_loss(H1, H2, 0.5) > 0.0
+
+
+def _nce_terms_reference(H1, H2, tau, need_grad):
+    """The full-width InfoNCE: (n, 2n) concatenations, transposed weights."""
+    n = H1.shape[0]
+    r1 = np.linalg.norm(H1, axis=1)
+    r2 = np.linalg.norm(H2, axis=1)
+    N1 = H1 / r1[:, None]
+    N2 = H2 / r2[:, None]
+    E12 = (N1 @ N2.T) / tau
+    E11 = (N1 @ N1.T) / tau
+    E22 = (N2 @ N2.T) / tau
+    np.fill_diagonal(E11, -np.inf)
+    np.fill_diagonal(E22, -np.inf)
+
+    def direction(cross, intra):
+        both = np.concatenate([cross, intra], axis=1)
+        m = both.max(axis=1)
+        lse = m + np.log(np.exp(both - m[:, None]).sum(axis=1))
+        losses = lse - np.diag(cross)
+        if not need_grad:
+            return losses, None, None
+        return losses, np.exp(cross - lse[:, None]), np.exp(intra - lse[:, None])
+
+    l1, w12, w11 = direction(E12, E11)
+    l2, w21, w22 = direction(E12.T, E22)
+    loss = float((l1.mean() + l2.mean()) / 2.0)
+    if not need_grad:
+        return loss, None, None
+    eye = np.eye(n)
+    c = 1.0 / (2.0 * n * tau)
+    G12 = c * ((w12 - eye) + (w21 - eye).T)
+    G11 = c * w11
+    G22 = c * w22
+    dN1 = G12 @ N2 + (G11 + G11.T) @ N1
+    dN2 = G12.T @ N1 + (G22 + G22.T) @ N2
+
+    def through_norm(dN, N, r):
+        return (dN - (dN * N).sum(axis=1, keepdims=True) * N) / r[:, None]
+
+    return loss, through_norm(dN1, N1, r1), through_norm(dN2, N2, r2)
+
+
+ORACLE_SIZES = [2, 3, 37, 100, 501]
+
+
+@pytest.mark.parametrize("need_grad", [True, False])
+@pytest.mark.parametrize("block_rows", [1, 7, None])  # 7 leaves a ragged last block
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_nce_terms_bit_identical_to_full_width_reference(n, block_rows, need_grad, monkeypatch):
+    if block_rows is not None:
+        monkeypatch.setattr(trainer_mod, "NCE_BLOCK_BYTES", 16 * n * block_rows)
+    rng = np.random.default_rng(n)
+    H1 = rng.standard_normal((n, 32))
+    H2 = H1 + 0.3 * rng.standard_normal((n, 32))
+    loss, dH1, dH2 = _nce_terms(H1, H2, 0.5, need_grad)
+    ref_loss, ref_dH1, ref_dH2 = _nce_terms_reference(H1, H2, 0.5, need_grad)
+    assert loss == ref_loss
+    if need_grad:
+        assert np.array_equal(dH1, ref_dH1)
+        assert np.array_equal(dH2, ref_dH2)
+    else:
+        assert dH1 is None and dH2 is None
+
+
+@pytest.mark.parametrize("p_dim", [8, 32])
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_row_normalised_gram_is_exactly_symmetric(n, p_dim):
+    # _nce_terms reads exp(E11 - lse[j]) in place of the transposed weight
+    # w11.T; that is bit-identical only while N @ N.T equals its transpose
+    rng = np.random.default_rng(n + p_dim)
+    H = rng.standard_normal((n, p_dim))
+    N = H / np.linalg.norm(H, axis=1)[:, None]
+    S = N @ N.T
+    assert np.array_equal(S, S.T)
+
+
+def test_nce_terms_peak_memory_under_seven_squares():
+    # the full-width version peaks at about 12 n^2 float64
+    n = 1000
+    rng = np.random.default_rng(0)
+    H1 = rng.standard_normal((n, 32))
+    H2 = rng.standard_normal((n, 32))
+    tracemalloc.start()
+    try:
+        _nce_terms(H1, H2, 0.5, True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * 8 * n * n
 
 
 # ---------------------------------------------------------------- training
