@@ -323,7 +323,12 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path) -> dict:
         raise ValueError("training requires labeled nodes")
     r = cfg.raw
     result = train_res(
-        g, cfg.train_config, h_dim=int(r["h_dim"]), d_dim=int(r["d_dim"]), p_dim=int(r["p_dim"])
+        g,
+        cfg.train_config,
+        h_dim=int(r["h_dim"]),
+        d_dim=int(r["d_dim"]),
+        p_dim=int(r["p_dim"]),
+        workers=_worker_count(),
     )
     train_idx, val_idx, test_idx = split_nodes(g.n_nodes, cfg)
     Z = forward(g, result.params).Z
@@ -350,6 +355,13 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path) -> dict:
         "classifier_converged": clf.converged,
     }
     _write_json(out_dir / "train_summary.json", summary)
+    if not clf.converged:
+        print(
+            "edgecert train: warning: classifier_converged is false: the logistic regression "
+            f"stopped at logreg_max_iters = {r['logreg_max_iters']} above logreg_tol = "
+            f"{r['logreg_tol']}",
+            file=sys.stderr,
+        )
     return summary
 
 

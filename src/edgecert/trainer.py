@@ -9,8 +9,12 @@ similarities divided by the temperature.
 
 from __future__ import annotations
 
+import math
 import time
+from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -20,8 +24,13 @@ from .rng import STREAM_AUGMENT, STREAM_GRADCHECK, STREAM_INIT, STREAM_TRAIN_NOI
 
 _PARAM_NAMES = ("W1", "W2", "P1", "b1", "P2", "b2")
 
-# Scratch memory for one row block of the InfoNCE log-sum-exp, in bytes.
+# Scratch memory for one row block of InfoNCE scores, in bytes.
 NCE_BLOCK_BYTES = 1 << 20
+
+
+def _require_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -36,8 +45,7 @@ class AugConfig:
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1]")
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be positive")
+        _require_positive("temperature", self.temperature)
 
 
 @dataclass(frozen=True)
@@ -53,8 +61,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
+        _require_positive("learning_rate", self.learning_rate)
+        _require_positive("adam_eps", self.adam_eps)
+        for name in ("adam_beta1", "adam_beta2"):
+            if not (0.0 <= getattr(self, name) < 1.0):
+                raise ValueError(f"{name} must be in [0, 1)")
 
 
 class TrainingError(RuntimeError):
@@ -96,55 +107,57 @@ def _drop_edges(g: Graph, p_drop: float, rng: np.random.Generator) -> Graph:
     return Graph(g.n_nodes, g.edges[keep], g.features, g.labels)
 
 
-def _block_lse(E12: np.ndarray, E11: np.ndarray, E22: np.ndarray):
-    """Row log-sum-exps of [E12 | E11] and of [E12.T | E22].
+def _anchor_pass(N: np.ndarray, other: np.ndarray, tau: float, need_grad: bool):
+    """InfoNCE terms of the anchors in one view and, optionally, their gradient.
 
-    Each block of rows is copied into one contiguous (rows, 2n) buffer, so
-    every row is summed in the same pairwise order as a full-width row.
+    Anchor i scores against B = [other; N] with its own row of N masked out,
+    so each row of a (rows, 2n) score block is a whole softmax row: the
+    block's exponentials give both its log-sum-exps and its weights. Returns
+    the per-anchor terms lse_i - pos_i and, with need_grad, the (2n, p)
+    gradient of their sum / (2n) w.r.t. B. Calls numpy only, so the two
+    views' passes can run on two threads.
     """
-    n = E12.shape[0]
-    lse1 = np.empty(n)
-    lse2 = np.empty(n)
-    rows = max(1, NCE_BLOCK_BYTES // (16 * n))
-    buf = np.empty((min(rows, n), 2 * n))
+    n = N.shape[0]
+    B = np.concatenate([other, N])
+    B_tau = B / tau
+    terms = np.empty(n)
+    dB = np.zeros_like(B) if need_grad else None
+    c = 1.0 / (2.0 * n * tau)
+    rows = min(n, max(1, NCE_BLOCK_BYTES // (16 * n)))
+    buf = np.empty((rows, 2 * n))
     for lo in range(0, n, rows):
-        blk = slice(lo, min(lo + rows, n))
-        both = buf[: blk.stop - lo]
-        for lse, cross, intra in ((lse1, E12[blk], E11[blk]), (lse2, E12[:, blk].T, E22[blk])):
-            both[:, :n] = cross
-            both[:, n:] = intra
-            m = both.max(axis=1)
-            both -= m[:, None]
-            np.exp(both, out=both)
-            lse[blk] = m + np.log(both.sum(axis=1))
-    return lse1, lse2
+        hi = min(lo + rows, n)
+        A = N[lo:hi]
+        S = np.matmul(A, B_tau.T, out=buf[: hi - lo])
+        r = np.arange(hi - lo)
+        pos = S[r, lo + r]
+        S[r, n + lo + r] = -np.inf
+        m = S.max(axis=1)
+        S -= m[:, None]
+        np.exp(S, out=S)
+        s = S.sum(axis=1)
+        terms[lo:hi] = m + np.log(s) - pos
+        if need_grad:
+            # the block's score gradient is w * S for w = c / s, once the
+            # positive's entry holds exp(pos - m) - s
+            S[r, lo + r] -= s
+            w = (c / s)[:, None]
+            dB[n + lo : n + hi] += (S @ B) * w
+            dB += S.T @ (A * w)
+    return terms, dB
 
 
-def _sym_weights(E: np.ndarray, lse: np.ndarray, c: float) -> np.ndarray:
-    """c * (w + w.T) for w = exp(E - lse[:, None]), overwriting E.
-
-    E must be exactly symmetric, so w.T[i, j] = exp(E[i, j] - lse[j]) is
-    computed elementwise without reading E transposed.
-    """
-    S = E - lse[:, None]
-    np.exp(S, out=S)
-    S *= c
-    E -= lse
-    np.exp(E, out=E)
-    E *= c
-    S += E
-    return S
-
-
-def _nce_terms(H1: np.ndarray, H2: np.ndarray, tau: float, need_grad: bool):
+def _nce_terms(
+    H1: np.ndarray, H2: np.ndarray, tau: float, need_grad: bool, executor: Executor | None = None
+):
     """Symmetric InfoNCE loss and, optionally, gradients w.r.t. H1 and H2.
 
-    Anchor i of view 1 scores its positive E12[i, i] against row i of E12 and
-    of E11 (self excluded); anchor j of view 2 against column j of E12 and
-    row j of E22. The log-sum-exps run one row block of [cross | intra] at a
-    time in a scratch buffer of about NCE_BLOCK_BYTES, and the softmax
-    weights are recomputed elementwise instead of transposed, so the working
-    set is about four n x n arrays.
+    Anchor i of view 1 scores its positive N1[i] . N2[i] / tau against every
+    other row of N2 and N1; anchors of view 2 likewise with the views
+    swapped. Each view is one pass over row blocks of about NCE_BLOCK_BYTES
+    (see _anchor_pass), so no n x n array exists. With an executor the two
+    passes run concurrently; their results are combined in a fixed order,
+    so the output does not depend on it.
     """
     if H1.shape != H2.shape:
         raise ValueError("view embeddings must have the same shape")
@@ -155,31 +168,14 @@ def _nce_terms(H1: np.ndarray, H2: np.ndarray, tau: float, need_grad: bool):
         raise ValueError("zero-norm embedding row in contrastive loss")
     N1 = H1 / r1[:, None]
     N2 = H2 / r2[:, None]
-    E12 = (N1 @ N2.T) / tau
-    E11 = (N1 @ N1.T) / tau  # N @ N.T is exactly symmetric (one triangle, mirrored)
-    E22 = (N2 @ N2.T) / tau
-    np.fill_diagonal(E11, -np.inf)
-    np.fill_diagonal(E22, -np.inf)
-
-    lse1, lse2 = _block_lse(E12, E11, E22)
-    loss = float(((lse1 - np.diag(E12)).mean() + (lse2 - np.diag(E12)).mean()) / 2.0)
+    run = partial(_anchor_pass, tau=tau, need_grad=need_grad)
+    mapper = map if executor is None else executor.map
+    (t1, dB1), (t2, dB2) = mapper(run, (N1, N2), (N2, N1))
+    loss = float((t1.mean() + t2.mean()) / 2.0)
     if not need_grad:
         return loss, None, None
-
-    # G12 = c * ((w12 - I) + (w21 - I).T), with w21.T[i, j] = exp(E12[i, j] - lse2[j])
-    c = 1.0 / (2.0 * n * tau)
-    G12 = E12 - lse1[:, None]
-    np.exp(G12, out=G12)
-    E12 -= lse2
-    np.exp(E12, out=E12)
-    diag = (np.diag(G12) - 1.0) + (np.diag(E12) - 1.0)
-    G12 += E12
-    del E12
-    np.fill_diagonal(G12, diag)
-    G12 *= c
-    dN1 = G12 @ N2 + _sym_weights(E11, lse1, c) @ N1
-    del E11
-    dN2 = G12.T @ N1 + _sym_weights(E22, lse2, c) @ N2
+    dN1 = dB1[n:] + dB2[:n]
+    dN2 = dB1[:n] + dB2[n:]
 
     def through_norm(dN, N, r):
         return (dN - (dN * N).sum(axis=1, keepdims=True) * N) / r[:, None]
@@ -189,8 +185,7 @@ def _nce_terms(H1: np.ndarray, H2: np.ndarray, tau: float, need_grad: bool):
 
 def info_nce_loss(H1: np.ndarray, H2: np.ndarray, temperature: float) -> float:
     """Symmetric two-view InfoNCE loss over projected embeddings."""
-    if temperature <= 0.0:
-        raise ValueError("temperature must be positive")
+    _require_positive("temperature", temperature)
     H1 = np.asarray(H1, dtype=np.float64)
     H2 = np.asarray(H2, dtype=np.float64)
     loss, _, _ = _nce_terms(H1, H2, temperature, need_grad=False)
@@ -225,14 +220,17 @@ def _backward(p: EncoderParams, cache: dict, dH: np.ndarray, grads: dict) -> Non
 
 
 def loss_and_grads(
-    p: EncoderParams, g1: Graph, g2: Graph, temperature: float
+    p: EncoderParams, g1: Graph, g2: Graph, temperature: float, executor: Executor | None = None
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Full-batch InfoNCE loss over two views plus gradients for all params."""
+    """Full-batch InfoNCE loss over two views plus gradients for all params.
+
+    An executor, if given, runs the two InfoNCE anchor passes concurrently.
+    """
     A1 = normalized_adjacency(g1)
     A2 = normalized_adjacency(g2)
     c1 = _forward_cache(p, A1, g1.features)
     c2 = _forward_cache(p, A2, g2.features)
-    loss, dH1, dH2 = _nce_terms(c1["H"], c2["H"], temperature, need_grad=True)
+    loss, dH1, dH2 = _nce_terms(c1["H"], c2["H"], temperature, True, executor)
     grads = {name: np.zeros_like(getattr(p, name)) for name in _PARAM_NAMES}
     _backward(p, c1, dH1, grads)
     _backward(p, c2, dH2, grads)
@@ -250,39 +248,52 @@ def _epoch_views(g: Graph, cfg: TrainConfig, epoch: int) -> tuple[Graph, Graph]:
 
 
 def train_res(
-    g: Graph, cfg: TrainConfig, h_dim: int = 64, d_dim: int = 32, p_dim: int = 32
+    g: Graph,
+    cfg: TrainConfig,
+    h_dim: int = 64,
+    d_dim: int = 32,
+    p_dim: int = 32,
+    workers: int = 1,
 ) -> TrainResult:
-    """Train the encoder with Adam on the noisy-view contrastive objective."""
+    """Train the encoder with Adam on the noisy-view contrastive objective.
+
+    With workers >= 2 the two InfoNCE anchor passes of each step run on two
+    threads; the result is bit-identical for every worker count.
+    """
     if g.n_nodes < 2:
         raise ValueError("training needs at least 2 nodes")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     params = init_params(g.f_dim, h_dim, d_dim, p_dim, derive_seed(cfg.seed, STREAM_INIT))
     state_m = {name: np.zeros_like(getattr(params, name)) for name in _PARAM_NAMES}
     state_v = {name: np.zeros_like(getattr(params, name)) for name in _PARAM_NAMES}
     losses: list[float] = []
     wall_ms: list[float] = []
-    for epoch in range(cfg.epochs):
-        t0 = time.perf_counter()
-        gi, gj = _epoch_views(g, cfg, epoch)
-        loss, grads = loss_and_grads(params, gi, gj, cfg.aug.temperature)
-        if not np.isfinite(loss):
-            raise TrainingError(epoch, loss)
-        t = epoch + 1
-        corr1 = 1.0 - cfg.adam_beta1**t
-        corr2 = 1.0 - cfg.adam_beta2**t
-        updated = {}
-        for name in _PARAM_NAMES:
-            gr = grads[name]
-            state_m[name] = cfg.adam_beta1 * state_m[name] + (1 - cfg.adam_beta1) * gr
-            state_v[name] = cfg.adam_beta2 * state_v[name] + (1 - cfg.adam_beta2) * gr * gr
-            step = cfg.learning_rate * (state_m[name] / corr1) / (
-                np.sqrt(state_v[name] / corr2) + cfg.adam_eps
-            )
-            updated[name] = getattr(params, name) - step
-            if not np.all(np.isfinite(updated[name])):
+    threads = min(workers, 2)
+    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+        for epoch in range(cfg.epochs):
+            t0 = time.perf_counter()
+            gi, gj = _epoch_views(g, cfg, epoch)
+            loss, grads = loss_and_grads(params, gi, gj, cfg.aug.temperature, pool)
+            if not np.isfinite(loss):
                 raise TrainingError(epoch, loss)
-        params = EncoderParams(**updated)
-        losses.append(loss)
-        wall_ms.append((time.perf_counter() - t0) * 1e3)
+            t = epoch + 1
+            corr1 = 1.0 - cfg.adam_beta1**t
+            corr2 = 1.0 - cfg.adam_beta2**t
+            updated = {}
+            for name in _PARAM_NAMES:
+                gr = grads[name]
+                state_m[name] = cfg.adam_beta1 * state_m[name] + (1 - cfg.adam_beta1) * gr
+                state_v[name] = cfg.adam_beta2 * state_v[name] + (1 - cfg.adam_beta2) * gr * gr
+                step = cfg.learning_rate * (state_m[name] / corr1) / (
+                    np.sqrt(state_v[name] / corr2) + cfg.adam_eps
+                )
+                updated[name] = getattr(params, name) - step
+                if not np.all(np.isfinite(updated[name])):
+                    raise TrainingError(epoch, loss)
+            params = EncoderParams(**updated)
+            losses.append(loss)
+            wall_ms.append((time.perf_counter() - t0) * 1e3)
     return TrainResult(params=params, losses=losses, wall_ms=wall_ms)
 
 

@@ -270,6 +270,47 @@ def test_parallel_map_matches_sequential(tmp_path, monkeypatch):
     ).read_bytes()
 
 
+def _log_without_wall_ms(path):
+    return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+
+def test_train_outputs_independent_of_thread_count(tmp_path, monkeypatch):
+    import edgecert.trainer as trainer_mod
+
+    monkeypatch.setattr(trainer_mod, "NCE_BLOCK_BYTES", 16 * 24 * 5)  # ragged row blocks
+    cfg = parse_config(small_config(tmp_path))
+    runs = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("EDGECERT_THREADS", threads)
+        out = tmp_path / f"threads-{threads}"
+        cmd_gen(cfg, out)
+        cmd_train(cfg, out)
+        runs[threads] = out
+    for name in ("encoder.ckpt", "classifier.ckpt", "train_summary.json"):
+        assert (runs["1"] / name).read_bytes() == (runs["2"] / name).read_bytes()
+    assert _log_without_wall_ms(runs["1"] / "train_log.csv") == _log_without_wall_ms(
+        runs["2"] / "train_log.csv"
+    )
+
+
+def test_train_warns_on_stderr_when_classifier_does_not_converge(tmp_path, capsys):
+    quiet = parse_config(small_config(tmp_path, epochs=3, logreg_tol=1e-2))
+    cmd_gen(quiet, tmp_path / "quiet")
+    assert cmd_train(quiet, tmp_path / "quiet")["classifier_converged"]
+    assert capsys.readouterr().err == ""
+
+    cfg = parse_config(small_config(tmp_path, epochs=3, logreg_max_iters=1))
+    out = tmp_path / "run"
+    cmd_gen(cfg, out)
+    summary = cmd_train(cfg, out)
+    assert not summary["classifier_converged"]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert "classifier_converged is false" in lines[0] and "logreg_max_iters = 1" in lines[0]
+
+
 # Runs in a fresh interpreter, so modules imported by other tests do not count.
 _IMPORT_POLICY_SCRIPT = """
 import sys

@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -177,50 +179,63 @@ def _nce_terms_reference(H1, H2, tau, need_grad):
 ORACLE_SIZES = [2, 3, 37, 100, 501]
 
 
+def _views(n, p_dim=32):
+    rng = np.random.default_rng(n)
+    H1 = rng.standard_normal((n, p_dim))
+    return H1, H1 + 0.3 * rng.standard_normal((n, p_dim))
+
+
 @pytest.mark.parametrize("need_grad", [True, False])
 @pytest.mark.parametrize("block_rows", [1, 7, None])  # 7 leaves a ragged last block
 @pytest.mark.parametrize("n", ORACLE_SIZES)
-def test_nce_terms_bit_identical_to_full_width_reference(n, block_rows, need_grad, monkeypatch):
+def test_nce_terms_match_full_width_reference(n, block_rows, need_grad, monkeypatch):
     if block_rows is not None:
         monkeypatch.setattr(trainer_mod, "NCE_BLOCK_BYTES", 16 * n * block_rows)
-    rng = np.random.default_rng(n)
-    H1 = rng.standard_normal((n, 32))
-    H2 = H1 + 0.3 * rng.standard_normal((n, 32))
+    H1, H2 = _views(n)
     loss, dH1, dH2 = _nce_terms(H1, H2, 0.5, need_grad)
     ref_loss, ref_dH1, ref_dH2 = _nce_terms_reference(H1, H2, 0.5, need_grad)
-    assert loss == ref_loss
+    assert abs(loss - ref_loss) <= 1e-13 * abs(ref_loss)
     if need_grad:
-        assert np.array_equal(dH1, ref_dH1)
-        assert np.array_equal(dH2, ref_dH2)
+        for got, ref in ((dH1, ref_dH1), (dH2, ref_dH2)):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
     else:
         assert dH1 is None and dH2 is None
 
 
-@pytest.mark.parametrize("p_dim", [8, 32])
+@pytest.mark.parametrize("block_rows", [7, None])
+@pytest.mark.parametrize("n", [37, 501])
+def test_nce_terms_threaded_equals_serial_exactly(n, block_rows, monkeypatch):
+    if block_rows is not None:
+        monkeypatch.setattr(trainer_mod, "NCE_BLOCK_BYTES", 16 * n * block_rows)
+    H1, H2 = _views(n)
+    serial = _nce_terms(H1, H2, 0.5, True)
+    with ThreadPoolExecutor(2) as pool:
+        threaded = _nce_terms(H1, H2, 0.5, True, pool)
+    assert threaded[0] == serial[0]
+    assert np.array_equal(threaded[1], serial[1])
+    assert np.array_equal(threaded[2], serial[2])
+
+
 @pytest.mark.parametrize("n", ORACLE_SIZES)
-def test_row_normalised_gram_is_exactly_symmetric(n, p_dim):
-    # _nce_terms reads exp(E11 - lse[j]) in place of the transposed weight
-    # w11.T; that is bit-identical only while N @ N.T equals its transpose
-    rng = np.random.default_rng(n + p_dim)
-    H = rng.standard_normal((n, p_dim))
-    N = H / np.linalg.norm(H, axis=1)[:, None]
-    S = N @ N.T
-    assert np.array_equal(S, S.T)
+def test_nce_loss_without_grad_equals_loss_with_grad(n):
+    H1, H2 = _views(n)
+    assert _nce_terms(H1, H2, 0.5, False)[0] == _nce_terms(H1, H2, 0.5, True)[0]
 
 
-def test_nce_terms_peak_memory_under_seven_squares():
-    # the full-width version peaks at about 12 n^2 float64
-    n = 1000
-    rng = np.random.default_rng(0)
-    H1 = rng.standard_normal((n, 32))
-    H2 = rng.standard_normal((n, 32))
-    tracemalloc.start()
-    try:
-        _nce_terms(H1, H2, 0.5, True)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 7 * 8 * n * n
+@pytest.mark.parametrize("threads", [1, 2])
+def test_nce_terms_peak_memory_under_half_square(threads):
+    # the full-width version peaks at about 12 n^2 float64, the row-blocked
+    # log-sum-exps with n x n weights at about 4 n^2
+    n = 2000
+    H1, H2 = _views(n)
+    with ThreadPoolExecutor(threads) as pool:
+        tracemalloc.start()
+        try:
+            _nce_terms(H1, H2, 0.5, True, pool if threads > 1 else None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak <= 0.5 * 8 * n * n
 
 
 # ---------------------------------------------------------------- training
@@ -253,6 +268,61 @@ def test_train_deterministic():
     assert a.losses == b.losses
     for name in ("W1", "W2", "P1", "b1", "P2", "b2"):
         assert np.array_equal(getattr(a.params, name), getattr(b.params, name))
+
+
+def test_train_two_workers_equals_one_exactly(monkeypatch):
+    g = small_sbm(nodes_per_block=20)
+    monkeypatch.setattr(trainer_mod, "NCE_BLOCK_BYTES", 16 * g.n_nodes * 7)  # ragged blocks
+    a = train_res(g, train_cfg(epochs=8), h_dim=8, d_dim=4, p_dim=8, workers=1)
+    b = train_res(g, train_cfg(epochs=8), h_dim=8, d_dim=4, p_dim=8, workers=2)
+    assert a.losses == b.losses
+    for name in ("W1", "W2", "P1", "b1", "P2", "b2"):
+        assert np.array_equal(getattr(a.params, name), getattr(b.params, name))
+
+
+def test_train_rejects_zero_workers():
+    with pytest.raises(ValueError, match="workers"):
+        train_res(small_sbm(), train_cfg(epochs=1), workers=0)
+
+
+@pytest.mark.parametrize("temperature", [0.0, -1.0, math.nan, math.inf])
+def test_aug_config_rejects_bad_temperature(temperature):
+    with pytest.raises(ValueError, match="temperature"):
+        AugConfig(temperature=temperature)
+
+
+@pytest.mark.parametrize("temperature", [math.nan, math.inf])
+def test_info_nce_rejects_non_finite_temperature(temperature):
+    # at tau = inf every score is 0 and the loss would read log(2n - 1)
+    with pytest.raises(ValueError, match="temperature"):
+        info_nce_loss(np.eye(2), np.eye(2), temperature)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("learning_rate", math.nan),
+        ("learning_rate", math.inf),
+        ("learning_rate", -1e-3),
+        ("adam_beta1", 1.0),
+        ("adam_beta1", 2.0),
+        ("adam_beta1", -0.1),
+        ("adam_beta1", math.nan),
+        ("adam_beta2", 1.0),
+        ("adam_beta2", math.nan),
+        ("adam_eps", -1.0),
+        ("adam_eps", 0.0),
+        ("adam_eps", math.nan),
+        ("adam_eps", math.inf),
+    ],
+)
+def test_train_config_rejects_bad_optimizer_setting(key, value):
+    with pytest.raises(ValueError, match=key):
+        TrainConfig(epochs=1, **{key: value})
+
+
+def test_train_config_accepts_boundary_settings():
+    TrainConfig(epochs=1, adam_beta1=0.0, adam_beta2=0.0, adam_eps=1e-300, learning_rate=1e160)
 
 
 def test_zero_noise_matches_manual_nores_loop():
