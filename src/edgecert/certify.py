@@ -11,6 +11,7 @@ bound Delta(k).
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -68,19 +69,95 @@ class Certificate:
     d: int
 
 
-def beta_quantile(q: float, u: float, w: float) -> float:
-    """q-th quantile of Beta(u, w).
+def _beta_cf(u: float, w: float, x: float) -> float:
+    """Continued fraction K of I_x(u, w) = x**u (1 - x)**w K / (u B(u, w)).
 
-    Inverts the regularized incomplete beta function I_x(u, w) = q with
-    ``scipy.special.betaincinv``.
+    DLMF 8.17.22, evaluated by the modified Lentz method; it converges fast
+    for x below (u + 1) / (u + w + 2).
     """
+    f, c, d = 1.0, 1.0, 0.0
+    for i in range(1, 20_000):
+        m = i // 2
+        if i % 2:
+            num = -(u + m) * (u + w + m) * x / ((u + 2 * m) * (u + 2 * m + 1))
+        else:
+            num = m * (w - m) * x / ((u + 2 * m - 1) * (u + 2 * m))
+        d = 1.0 / ((1.0 + num * d) or 1e-300)
+        c = (1.0 + num / c) or 1e-300
+        f *= c * d
+        if abs(c * d - 1.0) <= 2.0**-50:
+            return 1.0 / f
+    raise ArithmeticError(f"incomplete beta continued fraction did not converge at x={x!r}")
+
+
+def _beta_cdf_pdf(x: float, u: float, w: float, log_beta: float) -> tuple[float, float]:
+    """I_x(u, w) and the Beta(u, w) density at x, for 0 < x < 1."""
+    front = math.exp(u * math.log(x) + w * math.log1p(-x) - log_beta)
+    pdf = front / (x * (1.0 - x))
+    if x < (u + 1.0) / (u + w + 2.0):
+        return front * _beta_cf(u, w, x) / u, pdf
+    return 1.0 - front * _beta_cf(w, u, 1.0 - x) / w, pdf
+
+
+def _beta_quantile_guess(q: float, u: float, w: float, log_beta: float) -> float:
+    """Starting point for the q-th quantile of Beta(u, w), q <= 1/2."""
+    if u >= 1.0 and w >= 1.0:
+        # Abramowitz & Stegun 26.5.22, with the normal quantile of 26.2.23
+        t = math.sqrt(-2.0 * math.log(q))
+        y = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
+            1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))
+        )
+        lam = (y * y - 3.0) / 6.0
+        h = 2.0 / (1.0 / (2.0 * u - 1.0) + 1.0 / (2.0 * w - 1.0))
+        s = y * math.sqrt(h + lam) / h - (1.0 / (2.0 * w - 1.0) - 1.0 / (2.0 * u - 1.0)) * (
+            lam + 5.0 / 6.0 - 2.0 / (3.0 * h)
+        )
+        x = u / (u + w * math.exp(min(2.0 * s, 700.0)))
+    else:
+        # leading term of the lower tail, I_x ~ x**u / (u B(u, w))
+        x = math.exp((math.log(q * u) + log_beta) / u)
+    return x if 0.0 < x < 1.0 else 0.5
+
+
+def beta_quantile(q: float, u: float, w: float) -> float:
+    """q-th quantile of Beta(u, w), the x with I_x(u, w) = q.
+
+    I_x comes from its continued fraction, and Newton steps on log I_x
+    against log x (the derivative of I_x is the Beta density) solve for x
+    inside a shrinking bracket, bisecting it whenever a step would leave it,
+    until x moves by at most 2 ulp. Raises ValueError for q outside (0, 1),
+    non-positive shapes and non-finite arguments.
+    """
+    for name, value in (("q", q), ("u", u), ("w", w)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if not (0.0 < q < 1.0):
         raise ValueError("q must be in (0, 1)")
     if u <= 0.0 or w <= 0.0:
         raise ValueError("shape parameters must be positive")
-    from scipy.special import betaincinv
-
-    return float(betaincinv(u, w, q))
+    if q > 0.5:
+        # I_x(u, w) = 1 - I_{1-x}(w, u), and 1 - q is exact here; in the lower
+        # tail I_x keeps a small absolute error where its slope is small
+        return 1.0 - beta_quantile(1.0 - q, w, u)
+    log_beta = math.lgamma(u) + math.lgamma(w) - math.lgamma(u + w)
+    lo, hi = 0.0, 1.0
+    x = _beta_quantile_guess(q, u, w, log_beta)
+    for _ in range(2_000):
+        cdf, pdf = _beta_cdf_pdf(x, u, w, log_beta)
+        if cdf < q:
+            lo = x
+        else:
+            hi = x
+        tol = 2.0 * math.ulp(x)
+        nxt = 0.5 * (lo + hi)
+        if cdf > 0.0 and pdf > 0.0:
+            newton = x + x * math.expm1((math.log(q) - math.log(cdf)) * cdf / (x * pdf))
+            if lo < newton < hi or abs(newton - x) <= tol:
+                nxt = newton
+        if abs(nxt - x) <= tol:
+            return nxt
+        x = nxt
+    raise ArithmeticError(f"beta_quantile({q!r}, {u!r}, {w!r}) did not converge")
 
 
 def majority_class(t: VoteTally) -> int:
@@ -94,7 +171,8 @@ def confidence_bounds(t: VoteTally, alpha: float, n_classes: int) -> ConfidenceB
 
     p_a_lower = B(alpha/C; m_a, mu - m_a + 1) for the majority class, and for
     every other class p_c_upper = B(1 - alpha/C; m_c + 1, mu - m_c), with the
-    runner-up bound capped at 1 - p_a_lower.
+    runner-up bound capped at 1 - p_a_lower. p_c_upper increases with m_c, so
+    only the largest other count is bounded, as 1 - B(alpha/C; mu - m_c, m_c + 1).
     """
     if n_classes < 2:
         raise ValueError("need at least 2 classes")
@@ -104,16 +182,12 @@ def confidence_bounds(t: VoteTally, alpha: float, n_classes: int) -> ConfidenceB
     m_a = t.counts.get(c_a, 0)
     q = alpha / n_classes
     p_a_lower = beta_quantile(q, m_a, t.mu - m_a + 1)
-    p_c_upper = 0.0
-    for c in range(n_classes):
-        if c == c_a:
-            continue
-        m_c = t.counts.get(c, 0)
-        if t.mu - m_c == 0:
-            upper = 1.0
-        else:
-            upper = beta_quantile(1.0 - q, m_c + 1, t.mu - m_c)
-        p_c_upper = max(p_c_upper, upper)
+    # classes missing from the tally have no votes
+    m_c = max((m for c, m in t.counts.items() if c != c_a), default=0)
+    if t.mu - m_c == 0:
+        p_c_upper = 1.0
+    else:
+        p_c_upper = 1.0 - beta_quantile(q, t.mu - m_c, m_c + 1)
     p_b_upper = min(p_c_upper, 1.0 - p_a_lower)
     return ConfidenceBounds(
         c_a=c_a, p_a_lower=p_a_lower, p_b_upper=p_b_upper, alpha=alpha, n_classes=n_classes

@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -286,6 +285,8 @@ def parallel_map(fn, items):
     workers = _worker_count()
     if workers <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    from concurrent.futures import ProcessPoolExecutor
+
     chunksize = max(1, len(items) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=chunksize))

@@ -137,16 +137,14 @@ def delta_paper(d: int, e: int, k: int, spec: EdgeDropSpec) -> float:
         return 0.0
     if spec.beta_drop == 0.0:
         return 1.0
-    from scipy.special import gammaln
-
     log_ratio = (
-        gammaln(d + 1)
-        - gammaln(d - e + 1)
-        - gammaln(d + k + 1)
-        + gammaln(d + k - e + 1)
+        math.lgamma(d + 1)
+        - math.lgamma(d - e + 1)
+        - math.lgamma(d + k + 1)
+        + math.lgamma(d + k - e + 1)
     )
-    value = 1.0 - np.exp(log_ratio + k * np.log(spec.beta_drop))
-    return float(min(1.0, max(0.0, value)))
+    value = 1.0 - math.exp(log_ratio + k * math.log(spec.beta_drop))
+    return min(1.0, max(0.0, value))
 
 
 def delta_bound(k: int, d: int, policy: DeltaPolicy, spec: EdgeDropSpec) -> float:

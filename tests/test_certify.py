@@ -97,6 +97,46 @@ def test_beta_quantile_matches_brentq_reference():
                         assert abs(beta_quantile(q, u, w) - ref) <= 1e-12
 
 
+def test_beta_quantile_matches_betaincinv():
+    # every shape confidence_bounds asks for, at the alpha / C of its configs,
+    # plus the non-integer shapes of the quadrature round trip, also at
+    # quantiles close to 1, where the density is small
+    from scipy.special import betaincinv
+
+    cases = [
+        (q, u, w)
+        for q in (0.01, 0.5, 0.99, 1 - 1e-9)
+        for u in (1.0, 2.5, 10.0)
+        for w in (1.0, 2.5, 10.0)
+    ]
+    for mu in (1, 2, 7, 50, 200, 1000):
+        for m in range(mu + 1):
+            for q in (1e-4, 1.25e-4, 5e-4, 3.3e-3):
+                if m > 0:
+                    cases.append((q, m, mu - m + 1))
+                if m < mu:
+                    cases.append((q, mu - m, m + 1))
+    worst = max(abs(beta_quantile(q, u, w) - float(betaincinv(u, w, q))) for q, u, w in cases)
+    assert worst <= 1e-13
+
+
+def test_beta_quantile_closed_forms_to_last_bits():
+    # Beta(n, 1) has CDF x**n and Beta(1, n) has CDF 1 - (1 - x)**n
+    for n in (1, 2, 10, 200, 1000):
+        for q in (1e-4, 5e-4, 0.01, 0.5, 0.9, 0.999):
+            assert abs(beta_quantile(q, n, 1) - q ** (1.0 / n)) <= 1e-15
+            assert abs(beta_quantile(q, 1, n) - (1.0 - (1.0 - q) ** (1.0 / n))) <= 1e-15
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_beta_quantile_rejects_non_finite(bad, position):
+    args = [0.01, 3.0, 5.0]
+    args[position] = bad
+    with pytest.raises(ValueError, match="finite"):
+        beta_quantile(*args)
+
+
 # ------------------------------------------------------------ vote tallies
 
 
@@ -145,6 +185,38 @@ def test_bounds_capped_by_complement():
         tally = VoteTally({c: int(n) for c, n in enumerate(counts) if n > 0}, mu, 0)
         b = confidence_bounds(tally, alpha=0.01, n_classes=k + 1)
         assert b.p_b_upper <= 1 - b.p_a_lower + 1e-12
+
+
+def test_bounds_equal_class_by_class_maximum():
+    # the runner-up bound of the largest other count equals the maximum of
+    # every other class's bound, exactly
+    rng = np.random.default_rng(8)
+    for trial in range(300):
+        n_classes = int(rng.integers(2, 9))
+        mu = int(rng.integers(1, 250))
+        probs = rng.dirichlet(np.ones(n_classes))
+        if trial % 3 == 0:
+            probs[rng.integers(n_classes)] = 0.0  # a class that never wins a vote
+            probs /= probs.sum()
+        counts = rng.multinomial(mu, probs)
+        if trial % 5 == 0 and n_classes > 2 and mu % 2 == 0:
+            counts = np.zeros(n_classes, dtype=np.int64)
+            counts[[0, n_classes - 1]] = mu // 2  # a tie for the majority
+        # unobserved classes are either absent from the tally or listed with 0 votes
+        tally = {c: int(m) for c, m in enumerate(counts) if m > 0 or trial % 2}
+        t = VoteTally(tally, mu, 0)
+        alpha = float(rng.choice([0.001, 0.01, 0.05]))
+        q = alpha / n_classes
+        b = confidence_bounds(t, alpha=alpha, n_classes=n_classes)
+        c_a = majority_class(t)
+        m_a = tally[c_a]
+        uppers = [
+            1.0 if mu - m == 0 else 1.0 - beta_quantile(q, mu - m, m + 1)
+            for m in (tally.get(c, 0) for c in range(n_classes) if c != c_a)
+        ]
+        assert b.c_a == c_a
+        assert b.p_a_lower == beta_quantile(q, m_a, mu - m_a + 1)
+        assert b.p_b_upper == min(max(uppers), 1.0 - b.p_a_lower)
 
 
 def test_bounds_rejects_bad_inputs():

@@ -316,6 +316,7 @@ _IMPORT_POLICY_SCRIPT = """
 import sys
 import numpy as np
 import edgecert, edgecert.cli
+print(sorted(m for m in sys.modules if m.startswith("multiprocessing")))
 from edgecert import (
     EdgeDropSpec, SbmConfig, base_predict, confidence_bounds, fit_logreg, init_params,
     sbm_generate, smoothed_predict,
@@ -332,19 +333,47 @@ tally = smoothed_predict(g, 0, enc, clf, mu=8, spec=EdgeDropSpec(0.5), k_hop=2, 
 heavy = ("scipy.sparse", "scipy.optimize", "scipy.special", "scipy.linalg")
 print(sorted(m for m in sys.modules if m.startswith(heavy)))
 confidence_bounds(tally, alpha=0.001, n_classes=2)
-print(sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
 """
+
+
+def _fresh_python(script, *args):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "EDGECERT_THREADS": "1"}
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
 
 
 def test_package_and_vote_load_no_scipy_submodule():
     # every CLI stage is a fresh process, and gen and attack never call scipy:
-    # importing the package and voting must not pay for loading it, and the
-    # Beta bounds of the certify stage must not pay for scipy.optimize
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run(
-        [sys.executable, "-c", _IMPORT_POLICY_SCRIPT],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["[]", "[]"]
+    # importing the package (which leaves the process pool to parallel_map)
+    # and voting must not pay for loading scipy, nor must the Beta bounds of
+    # the certify stage
+    assert _fresh_python(_IMPORT_POLICY_SCRIPT) == ["[]", "[]", "[]"]
+
+
+_CERTIFY_STAGE_SCRIPT = """
+import sys
+from edgecert.cli import main
+main(["certify", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+@pytest.mark.parametrize("delta_mode", ["exact", "paper"])
+def test_certify_stage_loads_no_scipy(tmp_path, delta_mode):
+    path = small_config(tmp_path, epochs=3, delta_mode=delta_mode)
+    cfg = parse_config(path)
+    out = tmp_path / "run"
+    cmd_gen(cfg, out)
+    cmd_train(cfg, out)
+    assert _fresh_python(_CERTIFY_STAGE_SCRIPT, str(path), str(out)) == ["[]"]
+    rows = (out / "certify_report.csv").read_text().splitlines()[2:]
+    assert len(rows) == split_nodes(24, cfg)[2].size
+    assert {row.split(",")[7] for row in rows} == {delta_mode}
+    # some node reaches the Delta(k >= 1) scan, so paper mode evaluates its bound
+    assert any(row.split(",")[8] != "" for row in rows)

@@ -188,6 +188,21 @@ def test_delta_paper_dominates_exact_on_grid():
                     assert dp >= de - 1e-12
 
 
+def test_delta_paper_matches_gammaln_reference():
+    # scipy's log-gamma binomials, over the acceptance grid (d, k, beta) with
+    # e = round(d * (1 - beta)) and every other e
+    from scipy.special import gammaln
+
+    for beta in (0.5, 0.9):
+        spec = EdgeDropSpec(beta)
+        for d in (5, 10, 20):
+            for e in sorted({int(round(d * (1 - beta))), *range(0, d + 1)}):
+                for k in range(1, 6):
+                    log_ratio = gammaln(d + 1) - gammaln(d - e + 1) - gammaln(d + k + 1) + gammaln(d + k - e + 1)
+                    ref = min(1.0, max(0.0, 1.0 - np.exp(log_ratio + k * np.log(beta))))
+                    assert abs(delta_paper(d, e, k, spec) - ref) <= 1e-12
+
+
 def test_delta_paper_monotone_in_k():
     spec = EdgeDropSpec(0.7)
     values = [delta_paper(12, 8, k, spec) for k in range(10)]
