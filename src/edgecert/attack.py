@@ -79,26 +79,29 @@ def random_targeted_attack(g: Graph, target: int, budget: int, seed: int) -> np.
 
 
 def random_global_attack(g: Graph, rate: float, seed: int) -> Graph:
-    """Graph with ceil(rate * |E|) uniformly chosen absent edges added."""
+    """Graph with ceil(rate * |E|) uniformly chosen absent edges added.
+
+    The picks are ranks k among the n(n-1)/2 - |E| absent slots, drawn by
+    ``rng.choice`` from that count alone, so no per-pair array is built.
+    Since ``present[j] - j`` absent slots precede present slot j, rank k is
+    slot ``k + #{j : present[j] - j <= k}``.
+    """
     if not (0.0 <= rate <= 1.0):
         raise ValueError("rate must be in [0, 1]")
     count = ceil(rate * g.n_edges)
     if count == 0:
         return g
     n = g.n_nodes
-    universe = n * (n - 1) // 2
     present = pair_slot(g.edges[:, 0], g.edges[:, 1], n)
-    is_absent = np.ones(universe, dtype=bool)
-    is_absent[present] = False
-    absent = np.flatnonzero(is_absent)
-    if count > absent.size:
+    n_absent = n * (n - 1) // 2 - present.size
+    if count > n_absent:
         raise BudgetInfeasibleError(
-            f"cannot add {count} edges; only {absent.size} absent pairs"
+            f"cannot add {count} edges; only {n_absent} absent pairs"
         )
     rng = np.random.default_rng(seed)
-    chosen = absent[rng.choice(absent.size, size=count, replace=False)]
-    u, v = slot_pair(np.sort(chosen), n)
-    return add_edges(g, np.column_stack([u, v]))
+    picks = rng.choice(n_absent, size=count, replace=False)
+    slots = picks + np.searchsorted(present - np.arange(present.size), picks, side="right")
+    return add_edges(g, np.column_stack(slot_pair(slots, n)))
 
 
 @dataclass(frozen=True)

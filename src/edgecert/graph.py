@@ -194,11 +194,15 @@ class SbmConfig:
             raise ValueError("blocks and nodes_per_block must be >= 1")
         if not (0.0 <= self.p_out <= self.p_in <= 1.0):
             raise ValueError("need 0 <= p_out <= p_in <= 1")
-        if self.feature_noise_sd < 0:
-            raise ValueError("feature_noise_sd must be non-negative")
+        if not (np.isfinite(self.feature_noise_sd) and self.feature_noise_sd >= 0):
+            raise ValueError(
+                f"feature_noise_sd must be finite and non-negative, got {self.feature_noise_sd}"
+            )
         centers = np.ascontiguousarray(self.feature_centers, dtype=np.float64)
         if centers.ndim != 2 or centers.shape[0] != self.blocks:
             raise ValueError("feature_centers must be a blocks x f_dim matrix")
+        if not np.isfinite(centers).all():
+            raise ValueError("feature_centers must be finite")
         centers.setflags(write=False)
         object.__setattr__(self, "feature_centers", centers)
 
@@ -332,17 +336,22 @@ def sbm_generate(cfg: SbmConfig) -> Graph:
     Within-block pairs are connected with p_in, across-block pairs with
     p_out. Features are the block center plus i.i.d. Gaussian noise; labels
     are block ids.
+
+    Stream contract: one ``rng.random(n*(n-1)//2)`` call draws a uniform r
+    per pair (u < v) in slot order (see :func:`pair_slot`), and pair (u, v)
+    is an edge when r < p_in within a block or r < p_out across blocks;
+    then ``rng.standard_normal((n, f_dim))`` draws the feature noise. Since
+    p_out <= p_in, only slots with r < p_in are decoded into pairs, so the
+    one float per pair of the stream is the only per-pair array.
     """
     n = cfg.blocks * cfg.nodes_per_block
     labels = np.arange(n, dtype=np.int64) // cfg.nodes_per_block
     rng = np.random.default_rng(cfg.seed)
-    if n >= 2:
-        uu, vv = np.triu_indices(n, k=1)
-        prob = np.where(labels[uu] == labels[vv], cfg.p_in, cfg.p_out)
-        keep = rng.random(uu.size) < prob
-        edges = np.column_stack([uu[keep], vv[keep]]).astype(np.int64)
-    else:
-        edges = np.zeros((0, 2), dtype=np.int64)
+    r = rng.random(n * (n - 1) // 2)
+    cand = np.flatnonzero(r < cfg.p_in)
+    u, v = slot_pair(cand, n)
+    keep = (labels[u] == labels[v]) | (r[cand] < cfg.p_out)
+    edges = np.column_stack([u[keep], v[keep]])
     f_dim = cfg.feature_centers.shape[1]
     noise = rng.standard_normal((n, f_dim)) * cfg.feature_noise_sd
     features = cfg.feature_centers[labels] + noise

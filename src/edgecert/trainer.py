@@ -11,16 +11,19 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .encoder import EncoderParams, init_params, relu
 from .graph import Graph, normalized_adjacency
 from .rng import STREAM_AUGMENT, STREAM_GRADCHECK, STREAM_INIT, STREAM_TRAIN_NOISE, derive_seed
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 _PARAM_NAMES = ("W1", "W2", "P1", "b1", "P2", "b2")
 
@@ -270,6 +273,9 @@ def train_res(
     losses: list[float] = []
     wall_ms: list[float] = []
     threads = min(workers, 2)
+    # imported here, so that the other stages, which import this module, load no pool
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
         for epoch in range(cfg.epochs):
             t0 = time.perf_counter()

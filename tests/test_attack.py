@@ -1,3 +1,6 @@
+import tracemalloc
+from math import ceil
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,7 @@ from edgecert.attack import (
     write_attack_report,
 )
 from edgecert.encoder import forward, init_params
-from edgecert.graph import Graph, SbmConfig, sbm_generate
+from edgecert.graph import Graph, SbmConfig, pair_slot, sbm_generate, slot_pair
 from edgecert.linear_eval import fit_logreg
 from edgecert.noise import EdgeDropSpec
 
@@ -149,6 +152,77 @@ def test_global_infeasible_rate():
     g = Graph(3, np.array([[0, 1], [0, 2], [1, 2]]), np.zeros((3, 1)))
     with pytest.raises(BudgetInfeasibleError):
         random_global_attack(g, 1.0, seed=0)
+
+
+def _global_attack_reference(g, rate, seed):
+    """Global attack over an explicit boolean universe of all node pairs."""
+    count = ceil(rate * g.n_edges)
+    if count == 0:
+        return g
+    n = g.n_nodes
+    universe = n * (n - 1) // 2
+    present = pair_slot(g.edges[:, 0], g.edges[:, 1], n)
+    is_absent = np.ones(universe, dtype=bool)
+    is_absent[present] = False
+    absent = np.flatnonzero(is_absent)
+    if count > absent.size:
+        raise BudgetInfeasibleError(
+            f"cannot add {count} edges; only {absent.size} absent pairs"
+        )
+    rng = np.random.default_rng(seed)
+    chosen = absent[rng.choice(absent.size, size=count, replace=False)]
+    u, v = slot_pair(np.sort(chosen), n)
+    return add_edges(g, np.column_stack([u, v]))
+
+
+def _sbm(blocks, per_block, p_in, p_out, seed=0):
+    return sbm_generate(SbmConfig(
+        blocks=blocks, nodes_per_block=per_block, p_in=p_in, p_out=p_out,
+        feature_centers=np.zeros((blocks, 1)), feature_noise_sd=0.0, seed=seed,
+    ))
+
+
+def _global_attack_graphs():
+    near_complete = [[u, v] for u in range(6) for v in range(u + 1, 6)][2:]
+    return [
+        fixture_graph(),
+        _sbm(2, 50, 0.2, 0.01),
+        _sbm(8, 250, 0.02, 0.0006, seed=3),
+        _sbm(3, 4, 1.0, 0.9),
+        Graph(6, np.array(near_complete), np.zeros((6, 1))),
+        Graph(3, np.array([[0, 1], [0, 2], [1, 2]]), np.zeros((3, 1))),
+    ]
+
+
+@pytest.mark.parametrize("graph_id", range(6))
+def test_global_matches_universe_reference(graph_id):
+    g = _global_attack_graphs()[graph_id]
+    for rate in (0.0, 0.01, 0.1, 0.5, 1.0):
+        for seed in range(4):
+            try:
+                want, want_error = _global_attack_reference(g, rate, seed), None
+            except BudgetInfeasibleError as exc:
+                want, want_error = None, str(exc)
+            try:
+                got, got_error = random_global_attack(g, rate, seed), None
+            except BudgetInfeasibleError as exc:
+                got, got_error = None, str(exc)
+            assert got_error == want_error
+            if want is not None:
+                assert np.array_equal(got.edges, want.edges)
+
+
+def test_global_peak_memory_under_one_megabyte():
+    # a boolean universe of n(n-1)/2 slots and its absent-slot index peak at
+    # about 18 MB at n = 2000
+    g = _sbm(8, 250, 0.02, 0.0006, seed=3)
+    tracemalloc.start()
+    try:
+        random_global_attack(g, 0.1, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
 
 
 def test_add_edges_rejects_duplicates():

@@ -311,12 +311,25 @@ def test_train_warns_on_stderr_when_classifier_does_not_converge(tmp_path, capsy
     assert "classifier_converged is false" in lines[0] and "logreg_max_iters = 1" in lines[0]
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key,field", [
+    ("sbm_feature_noise_sd", "feature_noise_sd"),
+    ("sbm_center_scale", "feature_centers"),
+])
+def test_gen_rejects_non_finite_sbm_setting(tmp_path, key, field, value):
+    cfg = parse_config(small_config(tmp_path, **{key: value}))
+    with pytest.raises(ValueError, match=field):
+        cmd_gen(cfg, tmp_path / "run")
+    assert not (tmp_path / "run" / "features.txt").exists()
+
+
 # Runs in a fresh interpreter, so modules imported by other tests do not count.
 _IMPORT_POLICY_SCRIPT = """
 import sys
 import numpy as np
 import edgecert, edgecert.cli
 print(sorted(m for m in sys.modules if m.startswith("multiprocessing")))
+print(sorted(m for m in sys.modules if m.startswith(("concurrent.futures", "logging"))))
 from edgecert import (
     EdgeDropSpec, SbmConfig, base_predict, confidence_bounds, fit_logreg, init_params,
     sbm_generate, smoothed_predict,
@@ -350,10 +363,10 @@ def _fresh_python(script, *args):
 
 def test_package_and_vote_load_no_scipy_submodule():
     # every CLI stage is a fresh process, and gen and attack never call scipy:
-    # importing the package (which leaves the process pool to parallel_map)
-    # and voting must not pay for loading scipy, nor must the Beta bounds of
-    # the certify stage
-    assert _fresh_python(_IMPORT_POLICY_SCRIPT) == ["[]", "[]", "[]"]
+    # importing the package (which leaves the process pool to parallel_map
+    # and the thread pool to train_res) and voting must not pay for loading
+    # scipy, nor must the Beta bounds of the certify stage
+    assert _fresh_python(_IMPORT_POLICY_SCRIPT) == ["[]", "[]", "[]", "[]"]
 
 
 _CERTIFY_STAGE_SCRIPT = """

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -179,6 +181,74 @@ def test_sbm_deterministic():
 def test_sbm_config_validates_probabilities():
     with pytest.raises(ValueError):
         sbm_cfg(p_in=0.1, p_out=0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sbm_config_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="feature_noise_sd"):
+        sbm_cfg(feature_noise_sd=bad)
+    with pytest.raises(ValueError, match="feature_centers"):
+        sbm_cfg(feature_centers=np.array([[1.0, bad], [-1.0, -1.0]]))
+
+
+def _sbm_generate_reference(cfg):
+    """Per-pair generator: an index pair and a probability for every node pair."""
+    n = cfg.blocks * cfg.nodes_per_block
+    labels = np.arange(n, dtype=np.int64) // cfg.nodes_per_block
+    rng = np.random.default_rng(cfg.seed)
+    if n >= 2:
+        uu, vv = np.triu_indices(n, k=1)
+        prob = np.where(labels[uu] == labels[vv], cfg.p_in, cfg.p_out)
+        keep = rng.random(uu.size) < prob
+        edges = np.column_stack([uu[keep], vv[keep]]).astype(np.int64)
+    else:
+        edges = np.zeros((0, 2), dtype=np.int64)
+    f_dim = cfg.feature_centers.shape[1]
+    noise = rng.standard_normal((n, f_dim)) * cfg.feature_noise_sd
+    features = cfg.feature_centers[labels] + noise
+    return edges, features, labels
+
+
+# (blocks, nodes_per_block, p_in, p_out): tiny shapes, the shipped 2x50
+# default and the two 8x250 benchmark workload shapes. A single node draws
+# rng.random(0), which must leave the feature stream where it was.
+SBM_SHAPES = [
+    (1, 1, 0.2, 0.01),
+    (1, 2, 0.2, 0.01),
+    (3, 1, 0.2, 0.01),
+    (2, 50, 0.2, 0.01),
+    (8, 250, 0.014, 0.0003),
+    (8, 250, 0.02, 0.0006),
+]
+
+
+@pytest.mark.parametrize("blocks,per_block,p_in,p_out", SBM_SHAPES)
+def test_sbm_matches_per_pair_reference(blocks, per_block, p_in, p_out):
+    centers = np.random.default_rng(blocks).standard_normal((blocks, 3))
+    for p_in_, p_out_ in [(p_in, p_out), (0.0, 0.0), (p_out, p_out), (1.0, p_out), (p_in, 0.0)]:
+        for seed in range(3):
+            cfg = sbm_cfg(blocks=blocks, nodes_per_block=per_block, p_in=p_in_, p_out=p_out_,
+                          feature_centers=centers, feature_noise_sd=0.7, seed=seed)
+            g = sbm_generate(cfg)
+            edges, features, labels = _sbm_generate_reference(cfg)
+            assert np.array_equal(g.edges, edges)
+            assert np.array_equal(g.features, features)
+            assert np.array_equal(g.labels, labels)
+
+
+def test_sbm_peak_memory_under_six_squares():
+    # the per-pair index arrays peak at about 16.5 n^2 bytes; the one
+    # float64 uniform per pair that the stream needs is 4 n^2
+    n = 2000
+    cfg = sbm_cfg(blocks=8, nodes_per_block=250, p_in=0.02, p_out=0.0006,
+                  feature_centers=np.zeros((8, 8)), seed=3)
+    tracemalloc.start()
+    try:
+        sbm_generate(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * n * n
 
 
 # ------------------------------------------------------- normalized adjacency
