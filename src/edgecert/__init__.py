@@ -23,7 +23,6 @@ from .graph import (
     ParseError,
     SbmConfig,
     StructVector,
-    from_struct_vector,
     khop_subgraph,
     load_graph,
     normalized_adjacency,
@@ -35,8 +34,6 @@ from .margin import (
     DegenerateFitError,
     WeibullFit,
     fit_reverse_weibull,
-    latent_robust_check,
-    margin_distances,
     positive_prob,
 )
 from .noise import (

@@ -1,9 +1,9 @@
 """Smoothed prediction by Monte-Carlo majority vote and robustness certification.
 
-For a target node, the k-hop subgraph is flattened into a structure vector;
-each of mu draws drops present edges independently, by a hash of the draw and
-the edge's global identity, and one batched kernel
-classifies the center node's encoder output under every draw's keep mask.
+For a target node, each of mu draws drops the present edges of its k-hop
+subgraph independently, by a hash of the draw and the edge's global
+identity, and one batched kernel classifies the center node's encoder output
+under every draw's keep mask.
 Vote counts give Beta-quantile confidence bounds, and the certified
 perturbation size is the largest k whose margin beats twice the collision
 bound Delta(k).
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import EncoderParams, relu
-from .graph import Graph, KhopSubgraph, StructVector, khop_subgraph, slot_pair, to_struct_vector
+from .graph import Graph, KhopSubgraph, khop_subgraph
 from .linear_eval import LogRegModel, logits_many
 from .noise import DeltaPolicy, EdgeDropSpec, delta_bound, sample_edgedrop
 
@@ -293,47 +293,31 @@ def center_logits(
 
 
 def vote_on_struct_vector(
-    v: StructVector,
-    nodes: np.ndarray,
-    features: np.ndarray,
-    center: int,
+    sub: KhopSubgraph,
     enc: EncoderParams,
     clf: LogRegModel,
     mu: int,
     spec: EdgeDropSpec,
     seed: int,
 ) -> VoteTally:
-    """Monte-Carlo vote over mu edgedrop draws of a local structure vector.
+    """Monte-Carlo vote over mu edgedrop draws of a node's k-hop subgraph.
 
-    ``nodes`` holds the global ids of the local nodes. Local edge (a, b) is
-    keyed by its global identity ``nodes[a] << 32 | nodes[b]``, one
-    :func:`sample_edgedrop` call draws the keep masks of all mu draws, and
-    :func:`center_logits` classifies them at once.
+    Local edge (a, b) is keyed by its global identity
+    ``nodes[a] << 32 | nodes[b]``, one :func:`sample_edgedrop` call draws the
+    keep masks of all mu draws, and :func:`center_logits` classifies them at
+    once. The tally's ``target_node`` is the center's global id. The name is
+    kept for the benchmark's span table.
     """
-    nodes = np.asarray(nodes, dtype=np.uint64)
+    nodes = np.asarray(sub.nodes, dtype=np.uint64)
     if nodes.size and int(nodes.max()) >> 32:
         raise ValueError("global node ids must fit in 32 bits")
-    edges = np.column_stack(slot_pair(v.present, nodes.size))
-    keys = (nodes[edges[:, 0]] << np.uint64(32)) | nodes[edges[:, 1]]
+    g = sub.graph
+    keys = (nodes[g.edges[:, 0]] << np.uint64(32)) | nodes[g.edges[:, 1]]
     keep = sample_edgedrop(keys, spec, seed, mu)
-    classes = np.argmax(center_logits(edges, keep, features, center, enc, clf), axis=1)
-    return VoteTally(counts=dict(Counter(classes.tolist())), mu=mu, target_node=center)
-
-
-def _vote_subgraph(
-    sub: KhopSubgraph,
-    node: int,
-    enc: EncoderParams,
-    clf: LogRegModel,
-    mu: int,
-    spec: EdgeDropSpec,
-    seed: int,
-) -> VoteTally:
-    v = to_struct_vector(sub.graph)
-    tally = vote_on_struct_vector(
-        v, sub.nodes, sub.graph.features, sub.center, enc, clf, mu, spec, seed
+    classes = np.argmax(center_logits(g.edges, keep, g.features, sub.center, enc, clf), axis=1)
+    return VoteTally(
+        counts=dict(Counter(classes.tolist())), mu=mu, target_node=int(sub.nodes[sub.center])
     )
-    return VoteTally(counts=tally.counts, mu=mu, target_node=node)
 
 
 def smoothed_predict(
@@ -347,7 +331,7 @@ def smoothed_predict(
     seed: int,
 ) -> VoteTally:
     """Vote tally of the smoothed predictor at one node, deterministic given seed."""
-    return _vote_subgraph(khop_subgraph(g, node, k_hop), node, enc, clf, mu, spec, seed)
+    return vote_on_struct_vector(khop_subgraph(g, node, k_hop), enc, clf, mu, spec, seed)
 
 
 def base_predict(g: Graph, node: int, enc: EncoderParams, clf: LogRegModel, k_hop: int) -> int:
@@ -379,7 +363,7 @@ def certify_node(
     """Full certification of one node: vote, bound, scan for the certified size."""
     sub = khop_subgraph(g, node, k_hop)
     d = sub.graph.n_edges
-    tally = _vote_subgraph(sub, node, enc, clf, mu, spec, seed)
+    tally = vote_on_struct_vector(sub, enc, clf, mu, spec, seed)
     bounds = confidence_bounds(tally, alpha, n_classes)
     cap = min(50, d) if k_max is None else k_max
     ck = certified_k(bounds, d, policy, spec, cap)

@@ -123,16 +123,6 @@ class Graph:
             arr.setflags(write=False)
         return indptr, indices
 
-    def neighbor_sets(self) -> list[set[int]]:
-        out: list[set[int]] = [set() for _ in range(self.n_nodes)]
-        for u, v in self.edges:
-            out[int(u)].add(int(v))
-            out[int(v)].add(int(u))
-        return out
-
-    def edge_set(self) -> set[tuple[int, int]]:
-        return {(int(u), int(v)) for u, v in self.edges}
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -442,19 +432,3 @@ def to_struct_vector(g: Graph) -> StructVector:
     slots = pair_slot(g.edges[:, 0], g.edges[:, 1], n)
     # lexicographic edge order makes the slot sequence strictly increasing
     return StructVector(universe, slots)
-
-
-def from_struct_vector(
-    v: StructVector, n: int, features: np.ndarray, labels=None
-) -> Graph:
-    """Decode a structure vector back into a graph over n nodes."""
-    if v.universe != n * (n - 1) // 2:
-        raise ValueError(
-            f"universe {v.universe} does not match n={n} (expected {n * (n - 1) // 2})"
-        )
-    if v.present.size:
-        u, w = slot_pair(v.present, n)
-        edges = np.column_stack([u, w])
-    else:
-        edges = np.zeros((0, 2), dtype=np.int64)
-    return Graph(n, edges, features, labels)

@@ -28,6 +28,20 @@ def fixture_graph(seed=0):
     return sbm_generate(cfg)
 
 
+def edge_set(g):
+    """Reference edge set: (u, v) tuples with u < v."""
+    return {(u, v) for u, v in g.edges.tolist()}
+
+
+def neighbor_sets(g):
+    """Reference adjacency: the set of neighbours of each node."""
+    out = [set() for _ in range(g.n_nodes)]
+    for u, v in g.edges.tolist():
+        out[u].add(v)
+        out[v].add(u)
+    return out
+
+
 def trained(g, seed=1):
     enc = init_params(g.f_dim, 8, 4, 8, seed=seed)
     clf = fit_logreg(forward(g, enc).Z, g.labels, l2=1e-3)
@@ -46,7 +60,7 @@ def test_targeted_exact_budget_disjoint():
     g = fixture_graph()
     delta = random_targeted_attack(g, 3, 3, seed=5)
     assert delta.shape == (3, 2)
-    present = g.edge_set()
+    present = edge_set(g)
     pairs = {tuple(e) for e in delta.tolist()}
     assert len(pairs) == 3
     assert not (pairs & present)
@@ -55,7 +69,7 @@ def test_targeted_exact_budget_disjoint():
 def test_targeted_edges_touch_closed_neighborhood():
     g = fixture_graph()
     target = 7
-    closed = {target} | g.neighbor_sets()[target]
+    closed = {target} | neighbor_sets(g)[target]
     delta = random_targeted_attack(g, target, 4, seed=9)
     for u, v in delta.tolist():
         assert u in closed or v in closed
@@ -63,8 +77,8 @@ def test_targeted_edges_touch_closed_neighborhood():
 
 def _targeted_attack_oracle(g, target, budget, seed):
     """Set-based reference: enumerate the feasible pairs as sorted tuples."""
-    closed = {target} | g.neighbor_sets()[target]
-    present = g.edge_set()
+    closed = {target} | neighbor_sets(g)[target]
+    present = edge_set(g)
     pool = set()
     for u in closed:
         for v in range(g.n_nodes):
@@ -144,7 +158,7 @@ def test_global_edge_count_contract():
 def test_global_superset_of_original():
     g = fixture_graph()
     attacked = random_global_attack(g, 0.2, seed=3)
-    assert g.edge_set() <= attacked.edge_set()
+    assert edge_set(g) <= edge_set(attacked)
 
 
 def test_global_infeasible_rate():

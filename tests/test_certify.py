@@ -24,6 +24,7 @@ from edgecert.cli import CONFIG_DEFAULTS, build_sbm_config, resolve_config, spli
 from edgecert.encoder import forward, init_params, relu
 from edgecert.graph import (
     Graph,
+    KhopSubgraph,
     SbmConfig,
     khop_subgraph,
     pair_slot,
@@ -491,9 +492,20 @@ def test_vote_tallies_match_reference_loop_on_dense_fixture():
     for node in test_idx[:6]:
         sub = khop_subgraph(g, int(node), int(cfg.raw["k_hop"]))
         v = to_struct_vector(sub.graph)
-        args = (v, sub.nodes, sub.graph.features, sub.center, enc, clf, 200,
-                cfg.edgedrop, 7)
-        assert vote_on_struct_vector(*args).counts == _reference_vote(*args)
+        want = _reference_vote(v, sub.nodes, sub.graph.features, sub.center, enc, clf, 200,
+                               cfg.edgedrop, 7)
+        assert vote_on_struct_vector(sub, enc, clf, 200, cfg.edgedrop, 7).counts == want
+
+
+def test_vote_reports_the_global_target_node():
+    g, enc, clf = tiny_pipeline(seed=5)
+    spec = EdgeDropSpec(0.5)
+    for node in (12, 13, 19):
+        sub = khop_subgraph(g, node, 2)
+        assert sub.center != node  # the local id differs from the global one
+        assert smoothed_predict(g, node, enc, clf, mu=10, spec=spec, k_hop=2,
+                                seed=1).target_node == node
+        assert vote_on_struct_vector(sub, enc, clf, 10, spec, 1).target_node == node
 
 
 def test_coupled_draws_match_clean_bit_for_bit():
@@ -589,11 +601,14 @@ def test_certificate_sound_under_enumerated_perturbations():
     for size in range(1, min(ck, absent.size) + 1):
         for delta in combinations(absent.tolist(), size):
             v_pert = apply_xor(v, NoiseDraw(np.array(sorted(delta))))
+            n = sub.graph.n_nodes
+            pert = KhopSubgraph(
+                Graph(n, np.column_stack(slot_pair(v_pert.present, n)), sub.graph.features),
+                np.arange(n), sub.center,
+            )
             hold = 0
             for r in range(reruns):
-                tally = vote_on_struct_vector(
-                    v_pert, np.arange(sub.graph.n_nodes), sub.graph.features, sub.center,
-                    enc, clf, mu=mu_big, spec=spec, seed=1000 + r,
-                )
+                tally = vote_on_struct_vector(pert, enc, clf, mu=mu_big, spec=spec,
+                                              seed=1000 + r)
                 hold += majority_class(tally) == cert_result.c_a
             assert hold / reruns >= 1 - alpha

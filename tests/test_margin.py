@@ -1,48 +1,12 @@
 import numpy as np
 import pytest
 
-from edgecert.encoder import init_params
-from edgecert.graph import SbmConfig, sbm_generate
 from edgecert.margin import (
     DegenerateFitError,
     WeibullFit,
     fit_reverse_weibull,
-    latent_robust_check,
-    margin_distances,
     positive_prob,
-    probe_nodes,
-    write_probe_report,
 )
-
-
-# -------------------------------------------------------- margin distances
-
-
-def test_margin_identical_negative_is_zero():
-    z = np.array([1.0, 2.0])
-    assert margin_distances(z, [z]) == pytest.approx([0.0])
-
-
-def test_margin_antipodal_negative_is_one():
-    assert margin_distances([1.0, 0.0], [[-1.0, 0.0]]) == pytest.approx([1.0])
-
-
-def test_margin_orthogonal_negative_is_half():
-    assert margin_distances([1.0, 0.0], [[0.0, 1.0]]) == pytest.approx([0.5])
-
-
-def test_margin_scale_invariant():
-    rng = np.random.default_rng(0)
-    z = rng.standard_normal(4)
-    negs = [rng.standard_normal(4) for _ in range(5)]
-    base = margin_distances(z, negs)
-    scaled = margin_distances(2.5 * z, [7.0 * n for n in negs])
-    assert scaled == pytest.approx(base)
-
-
-def test_margin_zero_vector_rejected():
-    with pytest.raises(ValueError):
-        margin_distances([0.0, 0.0], [[1.0, 0.0]])
 
 
 # ------------------------------------------------------------- weibull fit
@@ -125,55 +89,3 @@ def test_positive_prob_rejects_out_of_range():
     fit = WeibullFit(a=0.3, sigma=2.0, lambda_used=10)
     with pytest.raises(ValueError):
         positive_prob(1.5, fit)
-
-
-# ----------------------------------------------------- latent robust check
-
-
-def test_latent_robust_with_identical_positive():
-    z = np.array([1.0, 0.2])
-    negs = [np.array([0.0, 1.0]), np.array([-1.0, 0.0])]
-    assert latent_robust_check(z, z, negs) is True
-
-
-def test_latent_robust_false_when_z_matches_negative():
-    z = np.array([0.0, 1.0])
-    z_pos = np.array([1.0, 0.0])
-    assert latent_robust_check(z, z_pos, [z]) is False
-
-
-def test_latent_robust_strict_inequality_boundary():
-    z = np.array([1.0, 0.0])
-    z_pos = np.array([2.0, 0.0])  # sim 1 with z
-    neg = np.array([3.0, 0.0])  # also sim 1
-    assert latent_robust_check(z, z_pos, [neg]) is False
-
-
-def test_latent_robust_empty_negatives_rejected():
-    with pytest.raises(ValueError):
-        latent_robust_check([1.0], [1.0], [])
-
-
-# ------------------------------------------------------------ probe report
-
-
-def test_probe_rows_and_report(tmp_path):
-    cfg = SbmConfig(
-        blocks=2, nodes_per_block=8, p_in=0.5, p_out=0.1,
-        feature_centers=np.array([[1.0, 1.0], [-1.0, -1.0]]),
-        feature_noise_sd=0.3, seed=0,
-    )
-    g = sbm_generate(cfg)
-    enc = init_params(2, 6, 4, 8, seed=1)
-    rows = probe_nodes(g, enc, nodes=[0, 5, 9], seed=3)
-    assert [r.node_id for r in rows] == [0, 5, 9]
-    for r in rows:
-        assert -1.0 <= r.s_pos <= 1.0
-        assert r.latent_robust == (r.s_pos > r.max_s_neg)
-        assert np.isnan(r.positive_prob) or 0.0 < r.positive_prob <= 1.0
-    path = tmp_path / "probe.csv"
-    write_probe_report(path, rows, "deadbeef")
-    text = path.read_text().splitlines()
-    assert text[0] == "# config_hash=deadbeef"
-    assert text[1].startswith("node_id,")
-    assert len(text) == 2 + len(rows)
