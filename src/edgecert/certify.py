@@ -254,42 +254,56 @@ def center_logits(
     (draws, d) boolean mask; row i of the (draws, n_classes) result is the
     classifier's logits for ``center`` on the graph holding only the edges
     with keep[i] set. The center row of the second propagation reads the
-    first only at the center's closed neighbourhood R, so each draw builds
-    just the (|R|, n) rows of its normalized adjacency. Draws run in chunks
-    of about CHUNK_BYTES of working memory.
+    first only at the center's closed neighbourhood R, and those rows read
+    the features only at Q, R plus its neighbours. So each draw builds just
+    the (|R|, |Q|) block of its normalized adjacency, from the exact integer
+    degrees (plus the self-loop) of the Q nodes, summed over the edges that
+    touch Q. Draws run in chunks of about CHUNK_BYTES of working memory;
+    the center rows of all draws then meet ``W2`` and the classifier at once.
     """
     n = features.shape[0]
-    u, v = edges[:, 0], edges[:, 1]
-    R = np.unique(np.concatenate([[center], u[v == center], v[u == center]]))
-    r = R.size
-    row = np.full(n, -1, dtype=np.int64)
-    row[R] = np.arange(r)
-    # nonzeros of the (r, n) block, flat: edge entries in rows of R, then the diagonal
-    at_u = np.flatnonzero(row[u] >= 0)
-    at_v = np.flatnonzero(row[v] >= 0)
-    nz_edge = np.concatenate([at_u, at_v])
-    nz_flat = np.concatenate([row[u[at_u]] * n + v[at_u], row[v[at_v]] * n + u[at_v],
-                              np.arange(r) * n + R])
-    center_row = row[center] * n + R
-    ends = np.concatenate([u, v])
-    XW1 = features @ enc.W1
-    # float64 words per draw: block rows, first-propagation rows, degrees, keep row
-    step = max(1, CHUNK_BYTES // (8 * (r * (n + XW1.shape[1]) + 2 * n + u.size)))
-    out = []
+    d = edges.shape[0]
+    # arcs tail -> head: a self-loop per node on keep column d (always kept), then
+    # each edge both ways
+    nodes = np.arange(n)
+    tail = np.concatenate([nodes, edges[:, 0], edges[:, 1]])
+    head = np.concatenate([nodes, edges[:, 1], edges[:, 0]])
+    arc_edge = np.concatenate([np.full(n, d), np.arange(d), np.arange(d)])
+    in_r = np.zeros(n, dtype=bool)
+    in_r[head[tail == center]] = True
+    from_r = np.flatnonzero(in_r[tail])
+    in_q = np.zeros(n, dtype=bool)
+    in_q[head[from_r]] = True
+    row = np.cumsum(in_r) - 1
+    col = np.cumsum(in_q) - 1
+    r, q = int(row[-1]) + 1, int(col[-1]) + 1
+    # block nonzeros, one per arc leaving R: the diagonal and the edges at R
+    nz_tail, nz_head, nz_edge = col[tail[from_r]], col[head[from_r]], arc_edge[from_r]
+    nz_flat = row[tail[from_r]] * q + nz_head
+    center_row = row[center] * q + col[in_r]
+    # arcs leaving Q grouped by tail, each group led by its self-loop: the sum
+    # of a group's keep entries is that node's degree + 1
+    by_tail = np.argsort(tail, kind="stable")
+    deg_edge = arc_edge[by_tail[in_q[tail[by_tail]]]]
+    deg_starts = np.flatnonzero(deg_edge == d)
+    XW1 = (features @ enc.W1)[in_q]
+    # float64 words per draw: block rows, first-propagation rows, degree terms, keep row
+    step = max(1, CHUNK_BYTES // (8 * (r * (q + XW1.shape[1]) + deg_edge.size + d + 1)))
+    z = np.empty((keep.shape[0], XW1.shape[1]))
     for lo in range(0, keep.shape[0], step):
-        kf = keep[lo : lo + step].astype(np.float64)
-        m = kf.shape[0]
-        # each draw's degree vector; sums of 0.0/1.0 weights are exact
-        flat = (np.arange(m)[:, None] * n + ends).ravel()
-        deg = np.bincount(flat, weights=np.tile(kf, 2).ravel(), minlength=m * n)
-        dinv = 1.0 / np.sqrt(deg.reshape(m, n) + 1.0)
-        w = dinv[:, u[nz_edge]] * dinv[:, v[nz_edge]] * kf[:, nz_edge]
-        block = np.zeros((m, r * n))
-        block[:, nz_flat] = np.hstack([w, dinv[:, R] * dinv[:, R]])
-        H1 = relu(block.reshape(m * r, n) @ XW1).reshape(m, r, -1)
-        z = (block[:, None, center_row] @ H1)[:, 0] @ enc.W2
-        out.append(logits_many(clf, z))
-    return np.concatenate(out)
+        part = keep[lo : lo + step]
+        m = part.shape[0]
+        kf = np.ones((m, d + 1))
+        kf[:, :d] = part
+        # sums of 0.0/1.0 terms are exact
+        dinv = 1.0 / np.sqrt(np.add.reduceat(kf[:, deg_edge], deg_starts, axis=1))
+        block = np.zeros((m, r * q))
+        block[:, nz_flat] = dinv[:, nz_tail] * dinv[:, nz_head] * kf[:, nz_edge]
+        H1 = relu(block.reshape(m * r, q) @ XW1).reshape(m, r, -1)
+        z[lo : lo + m] = (block[:, None, center_row] @ H1)[:, 0]
+    # one product over all draws: BLAS row results can depend on a product's row
+    # count, and the chunk size depends on d, which an attack changes
+    return logits_many(clf, z @ enc.W2)
 
 
 def vote_on_struct_vector(

@@ -280,16 +280,12 @@ def _worker_count() -> int:
 
 
 def parallel_map(fn, items):
-    """Order-preserving map, parallel across processes when allowed."""
-    items = list(items)
-    workers = _worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ProcessPoolExecutor
+    """Order-preserving map, in this process.
 
-    chunksize = max(1, len(items) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunksize))
+    A worker pool's start-up cost more than it saved on the certify stage's
+    votes; the name is kept for the benchmark's span table.
+    """
+    return [fn(x) for x in items]
 
 
 # ---------------------------------------------------------------------------

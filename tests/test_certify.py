@@ -448,11 +448,31 @@ def _reference_vote(v, nodes, features, center, enc, clf, mu, spec, seed):
     return counts
 
 
+def _closed_neighbourhood(edges, inside):
+    """Mask of the nodes in ``inside`` and their neighbours."""
+    out = inside.copy()
+    out[edges[inside[edges[:, 0]], 1]] = True
+    out[edges[inside[edges[:, 1]], 0]] = True
+    return out
+
+
+def _center_r_and_q(sub):
+    """Masks of R, the center's closed neighbourhood, and Q, R plus its neighbours."""
+    center = np.zeros(sub.graph.n_nodes, dtype=bool)
+    center[sub.center] = True
+    in_r = _closed_neighbourhood(sub.graph.edges, center)
+    return in_r, _closed_neighbourhood(sub.graph.edges, in_r)
+
+
 def _subgraph_cases():
     g, enc, clf = tiny_pipeline(seed=5)
     rng = np.random.default_rng(0)
-    for node in (0, 6, 13, 19):
-        sub = khop_subgraph(g, node, 2)
+    # 2-hop fields, then 3-hop fields whose Q leaves out nodes, then a hub whose
+    # Q is every node
+    for node, k_hop, q_is_all in [(0, 2, True), (6, 2, True), (13, 2, True), (19, 2, True),
+                                  (0, 3, False), (6, 3, False), (13, 3, False), (14, 2, True)]:
+        sub = khop_subgraph(g, node, k_hop)
+        assert _center_r_and_q(sub)[1].all() == q_is_all
         keep = rng.random((37, sub.graph.n_edges)) < 0.6
         yield sub.graph.edges, keep, sub.graph.features, sub.center, enc, clf
 
@@ -515,19 +535,30 @@ def test_coupled_draws_match_clean_bit_for_bit():
     g, enc, clf = tiny_pipeline(seed=5)
     spec = EdgeDropSpec(0.5)
     rng = np.random.default_rng(0)
-    coupled = differs = 0
-    for node in (0, 6, 13, 19):
-        sub = khop_subgraph(g, node, 2)
+    widen_rng = np.random.default_rng(1)
+    coupled = {2: 0, 3: 0}
+    differs = {2: 0, 3: 0}
+    # 2-hop fields with free pairs anywhere away from the center, then 3-hop fields
+    # (the whole graph) with pairs from R to nodes outside Q, which widen Q
+    for node, k_hop in [(0, 2), (6, 2), (13, 2), (19, 2), (0, 3), (6, 3), (13, 3), (19, 3)]:
+        sub = khop_subgraph(g, node, k_hop)
         n = sub.graph.n_nodes
         # absent pairs among the subgraph's nodes away from the center keep its node set
         clean_slots = to_struct_vector(sub.graph).present
         u, v = np.triu_indices(n, k=1)
         free = ~np.isin(pair_slot(u, v, n), clean_slots)
         free &= (u != sub.center) & (v != sub.center)
-        pick = rng.choice(np.flatnonzero(free), 3, replace=False)
+        if k_hop == 2:
+            pick = rng.choice(np.flatnonzero(free), 3, replace=False)
+        else:
+            in_r, in_q = _center_r_and_q(sub)
+            free &= (in_r[u] & ~in_q[v]) | (in_r[v] & ~in_q[u])
+            pick = widen_rng.choice(np.flatnonzero(free), 3, replace=False)
         attacked = add_edges(g, np.column_stack([sub.nodes[u[pick]], sub.nodes[v[pick]]]))
-        att = khop_subgraph(attacked, node, 2)
+        att = khop_subgraph(attacked, node, k_hop)
         assert np.array_equal(att.nodes, sub.nodes)
+        if k_hop == 3:
+            assert _center_r_and_q(att)[1].sum() > in_q.sum()
         seed = derive_seed(9, node)
         clean_keep = sample_edgedrop(_edge_keys(sub.nodes, sub.graph.edges), spec, seed, 200)
         att_keep = sample_edgedrop(_edge_keys(att.nodes, att.graph.edges), spec, seed, 200)
@@ -539,10 +570,11 @@ def test_coupled_draws_match_clean_bit_for_bit():
         hit = center_logits(att.graph.edges, att_keep, att.graph.features, att.center, enc, clf)
         dropped_all = ~att_keep[:, added].any(axis=1)
         assert np.array_equal(hit[dropped_all], clean[dropped_all])
-        coupled += int(dropped_all.sum())
-        differs += int((hit[~dropped_all] != clean[~dropped_all]).any(axis=1).sum())
-    # both kinds of draw occur, and a surviving added edge does move the logits
-    assert coupled > 0 and differs > 0
+        coupled[k_hop] += int(dropped_all.sum())
+        differs[k_hop] += int((hit[~dropped_all] != clean[~dropped_all]).any(axis=1).sum())
+    # in both cases both kinds of draw occur, and a surviving added edge does move
+    # the logits
+    assert min(coupled.values()) > 0 and min(differs.values()) > 0
 
 
 def test_non_finite_embedding_raises_on_batched_path():

@@ -363,9 +363,9 @@ def _fresh_python(script, *args):
 
 def test_package_and_vote_load_no_scipy_submodule():
     # every CLI stage is a fresh process, and gen and attack never call scipy:
-    # importing the package (which leaves the process pool to parallel_map
-    # and the thread pool to train_res) and voting must not pay for loading
-    # scipy, nor must the Beta bounds of the certify stage
+    # importing the package (which leaves the thread pool to train_res) and
+    # voting must not pay for loading scipy, nor must the Beta bounds of the
+    # certify stage
     assert _fresh_python(_IMPORT_POLICY_SCRIPT) == ["[]", "[]", "[]", "[]"]
 
 
@@ -390,3 +390,25 @@ def test_certify_stage_loads_no_scipy(tmp_path, delta_mode):
     assert {row.split(",")[7] for row in rows} == {delta_mode}
     # some node reaches the Delta(k >= 1) scan, so paper mode evaluates its bound
     assert any(row.split(",")[8] != "" for row in rows)
+
+
+_CERTIFY_STAGE_POOL_SCRIPT = """
+import os
+import sys
+os.environ["EDGECERT_THREADS"] = "2"
+from edgecert.cli import main
+main(["certify", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(sorted(m for m in sys.modules
+             if m.startswith(("multiprocessing", "concurrent.futures.process"))))
+"""
+
+
+def test_certify_stage_with_two_workers_starts_no_process_pool(tmp_path):
+    # the certify stage maps its nodes in its own process whatever EDGECERT_THREADS says
+    path = small_config(tmp_path, epochs=3)
+    cfg = parse_config(path)
+    out = tmp_path / "run"
+    cmd_gen(cfg, out)
+    cmd_train(cfg, out)
+    assert split_nodes(24, cfg)[2].size > 1
+    assert _fresh_python(_CERTIFY_STAGE_POOL_SCRIPT, str(path), str(out)) == ["[]"]
