@@ -15,7 +15,7 @@ from .certify import (
     majority_class,
     smoothed_predict,
 )
-from .encoder import Embeddings, EncoderParams, cosine_sim, forward, init_params
+from .encoder import Embeddings, EncoderParams, forward, init_params
 from .graph import (
     Graph,
     KhopSubgraph,
@@ -29,7 +29,7 @@ from .graph import (
     sbm_generate,
     to_struct_vector,
 )
-from .linear_eval import LogRegModel, fit_logreg, predict, predict_proba
+from .linear_eval import LogRegModel, fit_logreg, predict
 from .margin import (
     DegenerateFitError,
     WeibullFit,
@@ -46,4 +46,4 @@ from .noise import (
     mc_collision_estimate,
     sample_edgedrop,
 )
-from .trainer import AugConfig, TrainConfig, TrainingError, augment, grad_check, info_nce_loss, train_res
+from .trainer import AugConfig, TrainConfig, TrainingError, augment, grad_check, train_res

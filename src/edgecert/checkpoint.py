@@ -67,6 +67,8 @@ def read_checkpoint(path, kind: str) -> tuple[dict, dict]:
             name = parts[1]
             shape = tuple(int(p) for p in parts[2:])
             n_rows = shape[0] if len(shape) == 2 else 1
+            if i + 1 + n_rows > len(lines):
+                raise ValueError(f"{path}: truncated checkpoint (tensor {name} is cut short)")
             rows = []
             for j in range(n_rows):
                 rows.append([float(t) for t in lines[i + 1 + j].split()])

@@ -32,7 +32,7 @@ from .trainer import AugConfig, TrainConfig, train_res, write_train_log
 
 CONFIG_VERSION = 1
 
-# Flat key = value schema with defaults; parsed values keep these types.
+# Flat key = value schema with defaults; resolve_config gives each value its default's type.
 CONFIG_DEFAULTS: dict[str, object] = {
     "config_version": CONFIG_VERSION,
     "seed": 0,
@@ -87,61 +87,26 @@ CONFIG_DEFAULTS: dict[str, object] = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A resolved config: its typed values and the stage specs built from them."""
+
     raw: dict[str, object]
+    edgedrop: EdgeDropSpec
+    delta_policy: DeltaPolicy
+    k_grid: list[int]
+    train_config: TrainConfig
+    attack_spec: AttackSpec
 
     def __getitem__(self, key):
         return self.raw[key]
 
     @property
     def seed(self) -> int:
-        return int(self.raw["seed"])
-
-    @property
-    def edgedrop(self) -> EdgeDropSpec:
-        return EdgeDropSpec(float(self.raw["beta_drop"]))
-
-    @property
-    def delta_policy(self) -> DeltaPolicy:
-        e_fixed = self.raw["delta_e_fixed"]
-        if e_fixed == "":
-            return DeltaPolicy(mode=str(self.raw["delta_mode"]))
-        return DeltaPolicy(mode=str(self.raw["delta_mode"]), e_fixed=int(e_fixed))
-
-    @property
-    def k_grid(self) -> list[int]:
-        return [int(tok) for tok in str(self.raw["k_grid"]).split(",") if tok.strip() != ""]
-
-    @property
-    def train_config(self) -> TrainConfig:
-        r = self.raw
-        return TrainConfig(
-            epochs=int(r["epochs"]),
-            learning_rate=float(r["learning_rate"]),
-            adam_beta1=float(r["adam_beta1"]),
-            adam_beta2=float(r["adam_beta2"]),
-            adam_eps=float(r["adam_eps"]),
-            seed=self.seed,
-            aug=AugConfig(
-                p_edge_drop_view=float(r["p_edge_drop_view"]),
-                p_feat_mask_view=float(r["p_feat_mask_view"]),
-                temperature=float(r["temperature"]),
-                res_beta_drop=float(r["beta_drop"]),
-            ),
-        )
-
-    @property
-    def attack_spec(self) -> AttackSpec:
-        return AttackSpec(
-            mode=str(self.raw["attack_mode"]),
-            budget=int(self.raw["attack_budget"]),
-            rate=float(self.raw["attack_rate"]),
-            seed=derive_seed(self.seed, 100),
-        )
+        return self.raw["seed"]
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Read a flat key = value config file, applying schema defaults."""
-    values = dict(CONFIG_DEFAULTS)
+    """Read a flat key = value config file; see resolve_config."""
+    values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -151,38 +116,66 @@ def parse_config(path) -> ExperimentConfig:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
             key = key.strip()
-            value = value.strip()
             if key not in CONFIG_DEFAULTS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            default = CONFIG_DEFAULTS[key]
-            if isinstance(default, int) and not isinstance(default, bool):
-                values[key] = int(value)
-            elif isinstance(default, float):
-                values[key] = float(value)
-            else:
-                values[key] = value
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
+            values[key] = value.strip()
     return resolve_config(values)
 
 
 def resolve_config(values: dict) -> ExperimentConfig:
-    values = dict(values)
-    if int(values["config_version"]) != CONFIG_VERSION:
-        raise ValueError(f"unsupported config_version {values['config_version']}")
-    fracs = [float(values[k]) for k in ("train_frac", "val_frac", "test_frac")]
-    if abs(sum(fracs) - 1.0) > 1e-9:
+    """Typed and checked config from key -> value pairs; missing keys take their defaults.
+
+    Each value takes the type of its CONFIG_DEFAULTS entry, and the stage specs
+    are built here, so a value that a later stage would reject fails now.
+    """
+    for key in values:
+        if key not in CONFIG_DEFAULTS:
+            raise ValueError(f"unknown config key {key!r}")
+    r = {key: type(default)(values.get(key, default)) for key, default in CONFIG_DEFAULTS.items()}
+    if r["config_version"] != CONFIG_VERSION:
+        raise ValueError(f"unsupported config_version {r['config_version']}")
+    if abs(r["train_frac"] + r["val_frac"] + r["test_frac"] - 1.0) > 1e-9:
         raise ValueError("split fractions must sum to 1")
-    if int(values["mu"]) < 1:
+    if r["mu"] < 1:
         raise ValueError("mu must be >= 1")
-    if not (0.0 < float(values["alpha"]) < 1.0):
+    if not (0.0 < r["alpha"] < 1.0):
         raise ValueError("alpha must be in (0, 1)")
-    if values["dataset"] not in ("sbm", "files"):
-        raise ValueError(f"unknown dataset kind {values['dataset']!r}")
-    if int(values["k_hop"]) < DEPTH:
+    if r["dataset"] not in ("sbm", "files"):
+        raise ValueError(f"unknown dataset kind {r['dataset']!r}")
+    if r["k_hop"] < DEPTH:
         raise ValueError(
             f"k_hop must be >= {DEPTH}, the encoder's depth; "
-            f"k_hop = {values['k_hop']} cuts off the receptive field"
+            f"k_hop = {r['k_hop']} cuts off the receptive field"
         )
-    return ExperimentConfig(raw=values)
+    e_fixed = r["delta_e_fixed"]
+    return ExperimentConfig(
+        raw=r,
+        edgedrop=EdgeDropSpec(r["beta_drop"]),
+        delta_policy=DeltaPolicy(r["delta_mode"], None if e_fixed == "" else int(e_fixed)),
+        k_grid=[int(tok) for tok in r["k_grid"].split(",") if tok.strip() != ""],
+        train_config=TrainConfig(
+            epochs=r["epochs"],
+            learning_rate=r["learning_rate"],
+            adam_beta1=r["adam_beta1"],
+            adam_beta2=r["adam_beta2"],
+            adam_eps=r["adam_eps"],
+            seed=r["seed"],
+            aug=AugConfig(
+                p_edge_drop_view=r["p_edge_drop_view"],
+                p_feat_mask_view=r["p_feat_mask_view"],
+                temperature=r["temperature"],
+                res_beta_drop=r["beta_drop"],
+            ),
+        ),
+        attack_spec=AttackSpec(
+            mode=r["attack_mode"],
+            budget=r["attack_budget"],
+            rate=r["attack_rate"],
+            seed=derive_seed(r["seed"], 100),
+        ),
+    )
 
 
 def config_lines(cfg: ExperimentConfig) -> str:
@@ -205,14 +198,12 @@ def _block_centers(blocks: int, f_dim: int, scale: float) -> np.ndarray:
 def build_sbm_config(cfg: ExperimentConfig) -> SbmConfig:
     r = cfg.raw
     return SbmConfig(
-        blocks=int(r["sbm_blocks"]),
-        nodes_per_block=int(r["sbm_nodes_per_block"]),
-        p_in=float(r["sbm_p_in"]),
-        p_out=float(r["sbm_p_out"]),
-        feature_centers=_block_centers(
-            int(r["sbm_blocks"]), int(r["sbm_feature_dim"]), float(r["sbm_center_scale"])
-        ),
-        feature_noise_sd=float(r["sbm_feature_noise_sd"]),
+        blocks=r["sbm_blocks"],
+        nodes_per_block=r["sbm_nodes_per_block"],
+        p_in=r["sbm_p_in"],
+        p_out=r["sbm_p_out"],
+        feature_centers=_block_centers(r["sbm_blocks"], r["sbm_feature_dim"], r["sbm_center_scale"]),
+        feature_noise_sd=r["sbm_feature_noise_sd"],
         seed=derive_seed(cfg.seed, STREAM_DATASET),
     )
 
@@ -221,8 +212,8 @@ def split_nodes(n: int, cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, 
     """Deterministic train/val/test node split from the root seed."""
     rng = stream_rng(cfg.seed, STREAM_SPLIT)
     perm = rng.permutation(n)
-    n_train = int(n * float(cfg.raw["train_frac"]))
-    n_val = int(n * float(cfg.raw["val_frac"]))
+    n_train = int(n * cfg.raw["train_frac"])
+    n_val = int(n * cfg.raw["val_frac"])
     train = np.sort(perm[:n_train])
     val = np.sort(perm[n_train : n_train + n_val])
     test = np.sort(perm[n_train + n_val :])
@@ -322,9 +313,9 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path) -> dict:
     result = train_res(
         g,
         cfg.train_config,
-        h_dim=int(r["h_dim"]),
-        d_dim=int(r["d_dim"]),
-        p_dim=int(r["p_dim"]),
+        h_dim=r["h_dim"],
+        d_dim=r["d_dim"],
+        p_dim=r["p_dim"],
         workers=_worker_count(),
     )
     train_idx, val_idx, test_idx = split_nodes(g.n_nodes, cfg)
@@ -332,9 +323,9 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path) -> dict:
     clf = fit_logreg(
         Z[train_idx],
         g.labels[train_idx],
-        l2=float(r["l2"]),
-        max_iters=int(r["logreg_max_iters"]),
-        tol=float(r["logreg_tol"]),
+        l2=r["l2"],
+        max_iters=r["logreg_max_iters"],
+        tol=r["logreg_tol"],
     )
     preds_val = predict_many(clf, Z[val_idx])
     preds_test = predict_many(clf, Z[test_idx])
@@ -345,7 +336,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path) -> dict:
     write_train_log(out_dir / "train_log.csv", result, config_hash(cfg))
     summary = {
         "config_hash": config_hash(cfg),
-        "epochs": int(r["epochs"]),
+        "epochs": r["epochs"],
         "final_loss": result.losses[-1],
         "val_accuracy": val_acc,
         "test_accuracy": test_acc,
@@ -368,12 +359,12 @@ def _certify_one(node, g, enc, clf, cfg: ExperimentConfig):
         int(node),
         enc,
         clf,
-        mu=int(cfg.raw["mu"]),
+        mu=cfg.raw["mu"],
         spec=cfg.edgedrop,
-        alpha=float(cfg.raw["alpha"]),
+        alpha=cfg.raw["alpha"],
         n_classes=g.n_classes,
         policy=cfg.delta_policy,
-        k_hop=int(cfg.raw["k_hop"]),
+        k_hop=cfg.raw["k_hop"],
         seed=derive_seed(cfg.seed, STREAM_CERTIFY, int(node)),
     )
 
@@ -395,7 +386,7 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: Path) -> list:
 
 
 def _attack_targets(cfg: ExperimentConfig, test_idx: np.ndarray) -> np.ndarray:
-    n_targets = int(cfg.raw["attack_num_targets"])
+    n_targets = cfg.raw["attack_num_targets"]
     if n_targets <= 0 or n_targets >= test_idx.size:
         return test_idx
     rng = stream_rng(cfg.seed, STREAM_TARGETS)
@@ -409,11 +400,11 @@ def cmd_attack(cfg: ExperimentConfig, out_dir: Path) -> dict:
     _, _, test_idx = split_nodes(g.n_nodes, cfg)
     targets = _attack_targets(cfg, test_idx)
     atk = cfg.attack_spec
-    k_hop = int(cfg.raw["k_hop"])
+    k_hop = cfg.raw["k_hop"]
     eval_seed = derive_seed(cfg.seed, 101)
     smoothed = evasion_eval(
         g, targets, enc, clf, atk,
-        smoothing=(int(cfg.raw["mu"]), cfg.edgedrop),
+        smoothing=(cfg.raw["mu"], cfg.edgedrop),
         seed=eval_seed, k_hop=k_hop,
     )
     unsmoothed = evasion_eval(g, targets, enc, clf, atk, smoothing=None, seed=eval_seed, k_hop=k_hop)
@@ -508,9 +499,7 @@ def main(argv=None) -> int:
 
     cfg = parse_config(args.config)
     if args.seed is not None:
-        values = dict(cfg.raw)
-        values["seed"] = int(args.seed)
-        cfg = resolve_config(values)
+        cfg = resolve_config({**cfg.raw, "seed": args.seed})
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

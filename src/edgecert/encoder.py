@@ -101,27 +101,28 @@ def init_params(f_dim: int, h_dim: int, d_dim: int, p_dim: int, seed: int) -> En
     )
 
 
+def forward_cache(p: EncoderParams, A, X: np.ndarray) -> dict:
+    """Every intermediate of the forward pass over adjacency A and features X."""
+    T1 = A @ X
+    U1 = T1 @ p.W1
+    R1 = relu(U1)
+    T2 = A @ R1
+    Z = T2 @ p.W2
+    Q1 = Z @ p.P1 + p.b1
+    S1 = relu(Q1)
+    H = S1 @ p.P2 + p.b2
+    return {"A": A, "T1": T1, "U1": U1, "R1": R1, "T2": T2, "Z": Z, "Q1": Q1, "S1": S1, "H": H}
+
+
 def forward(g: Graph, p: EncoderParams) -> Embeddings:
     """Evaluate the encoder on every node of g."""
     if g.f_dim != p.f_dim:
         raise ValueError(f"graph has {g.f_dim} features, encoder expects {p.f_dim}")
-    A = normalized_adjacency(g)
-    Z = A @ relu(A @ g.features @ p.W1) @ p.W2
-    H = relu(Z @ p.P1 + p.b1) @ p.P2 + p.b2
+    cache = forward_cache(p, normalized_adjacency(g), g.features)
+    Z, H = cache["Z"], cache["H"]
     if not (np.all(np.isfinite(Z)) and np.all(np.isfinite(H))):
         raise FloatingPointError("non-finite encoder output")
     return Embeddings(Z=Z, H=H)
-
-
-def cosine_sim(z1, z2) -> float:
-    """Cosine similarity of two nonzero vectors, clipped to [-1, 1]."""
-    z1 = np.asarray(z1, dtype=np.float64).ravel()
-    z2 = np.asarray(z2, dtype=np.float64).ravel()
-    n1 = np.linalg.norm(z1)
-    n2 = np.linalg.norm(z2)
-    if n1 == 0.0 or n2 == 0.0:
-        raise ValueError("cosine similarity undefined for zero vectors")
-    return float(np.clip(z1 @ z2 / (n1 * n2), -1.0, 1.0))
 
 
 def save_params(path, p: EncoderParams) -> None:

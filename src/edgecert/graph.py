@@ -162,10 +162,6 @@ class StructVector:
         present.setflags(write=False)
         object.__setattr__(self, "present", present)
 
-    @property
-    def n_present(self) -> int:
-        return int(self.present.size)
-
 
 @dataclass(frozen=True)
 class SbmConfig:

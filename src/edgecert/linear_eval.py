@@ -119,19 +119,9 @@ def fit_logreg(
     return LogRegModel(W=W, b=b, l2=l2, converged=converged)
 
 
-def predict_proba(m: LogRegModel, z) -> np.ndarray:
-    """Softmax class probabilities for one embedding vector."""
-    z = np.asarray(z, dtype=np.float64).ravel()
-    if z.shape != (m.d_dim,):
-        raise ValueError(f"expected embedding of dim {m.d_dim}, got {z.shape}")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("non-finite embedding")
-    return _softmax(m.W @ z + m.b)
-
-
 def predict(m: LogRegModel, z) -> int:
-    """Most probable class; ties break toward the smallest class id."""
-    return int(np.argmax(predict_proba(m, z)))
+    """Most probable class of one embedding; ties break toward the smallest class id."""
+    return int(np.argmax(logits_many(m, np.reshape(z, (1, -1)))[0]))
 
 
 def logits_many(m: LogRegModel, Z: np.ndarray) -> np.ndarray:

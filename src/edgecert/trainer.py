@@ -13,12 +13,11 @@ import math
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .encoder import EncoderParams, init_params, relu
+from .encoder import EncoderParams, forward_cache, init_params
 from .graph import Graph, normalized_adjacency
 from .rng import STREAM_AUGMENT, STREAM_GRADCHECK, STREAM_INIT, STREAM_TRAIN_NOISE, derive_seed
 
@@ -110,21 +109,21 @@ def _drop_edges(g: Graph, p_drop: float, rng: np.random.Generator) -> Graph:
     return Graph(g.n_nodes, g.edges[keep], g.features, g.labels)
 
 
-def _anchor_pass(N: np.ndarray, other: np.ndarray, tau: float, need_grad: bool):
-    """InfoNCE terms of the anchors in one view and, optionally, their gradient.
+def _anchor_pass(N: np.ndarray, other: np.ndarray, tau: float):
+    """InfoNCE terms of the anchors in one view and their gradient.
 
     Anchor i scores against B = [other; N] with its own row of N masked out,
     so each row of a (rows, 2n) score block is a whole softmax row: the
     block's exponentials give both its log-sum-exps and its weights. Returns
-    the per-anchor terms lse_i - pos_i and, with need_grad, the (2n, p)
-    gradient of their sum / (2n) w.r.t. B. Calls numpy only, so the two
-    views' passes can run on two threads.
+    the per-anchor terms lse_i - pos_i and the (2n, p) gradient of their
+    sum / (2n) w.r.t. B. Calls numpy only, so the two views' passes can run
+    on two threads.
     """
     n = N.shape[0]
     B = np.concatenate([other, N])
     B_tau = B / tau
     terms = np.empty(n)
-    dB = np.zeros_like(B) if need_grad else None
+    dB = np.zeros_like(B)
     c = 1.0 / (2.0 * n * tau)
     rows = min(n, max(1, NCE_BLOCK_BYTES // (16 * n)))
     buf = np.empty((rows, 2 * n))
@@ -140,20 +139,17 @@ def _anchor_pass(N: np.ndarray, other: np.ndarray, tau: float, need_grad: bool):
         np.exp(S, out=S)
         s = S.sum(axis=1)
         terms[lo:hi] = m + np.log(s) - pos
-        if need_grad:
-            # the block's score gradient is w * S for w = c / s, once the
-            # positive's entry holds exp(pos - m) - s
-            S[r, lo + r] -= s
-            w = (c / s)[:, None]
-            dB[n + lo : n + hi] += (S @ B) * w
-            dB += S.T @ (A * w)
+        # the block's score gradient is w * S for w = c / s, once the
+        # positive's entry holds exp(pos - m) - s
+        S[r, lo + r] -= s
+        w = (c / s)[:, None]
+        dB[n + lo : n + hi] += (S @ B) * w
+        dB += S.T @ (A * w)
     return terms, dB
 
 
-def _nce_terms(
-    H1: np.ndarray, H2: np.ndarray, tau: float, need_grad: bool, executor: Executor | None = None
-):
-    """Symmetric InfoNCE loss and, optionally, gradients w.r.t. H1 and H2.
+def _nce_terms(H1: np.ndarray, H2: np.ndarray, tau: float, executor: Executor | None = None):
+    """Symmetric InfoNCE loss and its gradients w.r.t. H1 and H2.
 
     Anchor i of view 1 scores its positive N1[i] . N2[i] / tau against every
     other row of N2 and N1; anchors of view 2 likewise with the views
@@ -171,12 +167,9 @@ def _nce_terms(
         raise ValueError("zero-norm embedding row in contrastive loss")
     N1 = H1 / r1[:, None]
     N2 = H2 / r2[:, None]
-    run = partial(_anchor_pass, tau=tau, need_grad=need_grad)
     mapper = map if executor is None else executor.map
-    (t1, dB1), (t2, dB2) = mapper(run, (N1, N2), (N2, N1))
+    (t1, dB1), (t2, dB2) = mapper(_anchor_pass, (N1, N2), (N2, N1), (tau, tau))
     loss = float((t1.mean() + t2.mean()) / 2.0)
-    if not need_grad:
-        return loss, None, None
     dN1 = dB1[n:] + dB2[:n]
     dN2 = dB1[:n] + dB2[n:]
 
@@ -184,27 +177,6 @@ def _nce_terms(
         return (dN - (dN * N).sum(axis=1, keepdims=True) * N) / r[:, None]
 
     return loss, through_norm(dN1, N1, r1), through_norm(dN2, N2, r2)
-
-
-def info_nce_loss(H1: np.ndarray, H2: np.ndarray, temperature: float) -> float:
-    """Symmetric two-view InfoNCE loss over projected embeddings."""
-    _require_positive("temperature", temperature)
-    H1 = np.asarray(H1, dtype=np.float64)
-    H2 = np.asarray(H2, dtype=np.float64)
-    loss, _, _ = _nce_terms(H1, H2, temperature, need_grad=False)
-    return loss
-
-
-def _forward_cache(p: EncoderParams, A, X: np.ndarray) -> dict:
-    T1 = A @ X
-    U1 = T1 @ p.W1
-    R1 = relu(U1)
-    T2 = A @ R1
-    Z = T2 @ p.W2
-    Q1 = Z @ p.P1 + p.b1
-    S1 = relu(Q1)
-    H = S1 @ p.P2 + p.b2
-    return {"A": A, "T1": T1, "U1": U1, "R1": R1, "T2": T2, "Z": Z, "Q1": Q1, "S1": S1, "H": H}
 
 
 def _backward(p: EncoderParams, cache: dict, dH: np.ndarray, grads: dict) -> None:
@@ -231,9 +203,9 @@ def loss_and_grads(
     """
     A1 = normalized_adjacency(g1)
     A2 = normalized_adjacency(g2)
-    c1 = _forward_cache(p, A1, g1.features)
-    c2 = _forward_cache(p, A2, g2.features)
-    loss, dH1, dH2 = _nce_terms(c1["H"], c2["H"], temperature, True, executor)
+    c1 = forward_cache(p, A1, g1.features)
+    c2 = forward_cache(p, A2, g2.features)
+    loss, dH1, dH2 = _nce_terms(c1["H"], c2["H"], temperature, executor)
     grads = {name: np.zeros_like(getattr(p, name)) for name in _PARAM_NAMES}
     _backward(p, c1, dH1, grads)
     _backward(p, c2, dH2, grads)

@@ -65,6 +65,43 @@ def test_parse_config_rejects_unknown_key(tmp_path):
         parse_config(path)
 
 
+def test_parse_config_rejects_duplicate_key(tmp_path):
+    path = tmp_path / "dup.txt"
+    path.write_text("mu = 100\nseed = 1\nmu = 7\n")
+    with pytest.raises(ValueError, match=r"dup\.txt:3: duplicate config key 'mu'"):
+        parse_config(path)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"delta_mode": "exat"}, "delta mode"),
+    ({"beta_drop": 1.0}, "beta_drop"),
+    ({"delta_e_fixed": 3, "delta_mode": "exact"}, "e_fixed"),
+    ({"attack_mode": "x"}, "attack mode"),
+    ({"k_grid": "1,x"}, "'x'"),
+    ({"epochs": 0}, "epochs"),
+    ({"temperature": 0}, "temperature"),
+], ids=["delta_mode", "beta_drop", "delta_e_fixed", "attack_mode", "k_grid", "epochs", "temperature"])
+def test_parse_config_rejects_values_a_later_stage_would(tmp_path, overrides, message):
+    # each of these used to pass the parse, so gen and train ran to completion
+    # before certify or attack failed
+    with pytest.raises(ValueError, match=message):
+        parse_config(small_config(tmp_path, **overrides))
+
+
+def test_resolve_config_types_values_as_their_defaults(tmp_path):
+    text = {key: str(value) for key, value in CONFIG_DEFAULTS.items()}
+    text.update({"seed": "7", "mu": "30", "beta_drop": "0.25", "k_grid": "0,2", "delta_e_fixed": "4",
+                 "delta_mode": "paper"})
+    cfg = resolve_config(text)
+    for key, default in CONFIG_DEFAULTS.items():
+        assert type(cfg.raw[key]) is type(default), key
+    path = tmp_path / "config.txt"
+    path.write_text("".join(f"{key} = {value}\n" for key, value in text.items()))
+    assert config_hash(cfg) == config_hash(parse_config(path))
+    assert cfg.seed == 7 and cfg.raw["mu"] == 30 and cfg.edgedrop.beta_drop == 0.25
+    assert cfg.k_grid == [0, 2] and cfg.delta_policy.e_fixed == 4
+
+
 def test_resolve_config_validates_fractions():
     values = dict(CONFIG_DEFAULTS)
     values["train_frac"] = 0.5

@@ -3,7 +3,6 @@ import pytest
 
 from edgecert.encoder import (
     EncoderParams,
-    cosine_sim,
     forward,
     init_params,
     load_params,
@@ -115,34 +114,6 @@ def test_forward_outputs_finite():
     assert np.all(np.isfinite(emb.H))
 
 
-# ------------------------------------------------------------ cosine_sim
-
-
-def test_cosine_self_similarity():
-    z = np.array([0.3, -2.0, 1.0])
-    assert cosine_sim(z, z) == pytest.approx(1.0)
-
-
-def test_cosine_orthogonal():
-    assert cosine_sim([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
-
-
-def test_cosine_antipodal():
-    assert cosine_sim([1.0, 0.0], [-1.0, 0.0]) == pytest.approx(-1.0)
-
-
-def test_cosine_scale_invariant_and_symmetric():
-    rng = np.random.default_rng(8)
-    z1, z2 = rng.standard_normal(4), rng.standard_normal(4)
-    assert cosine_sim(3.5 * z1, z2) == pytest.approx(cosine_sim(z1, z2))
-    assert cosine_sim(z1, z2) == pytest.approx(cosine_sim(z2, z1))
-
-
-def test_cosine_zero_vector_rejected():
-    with pytest.raises(ValueError):
-        cosine_sim([0.0, 0.0], [1.0, 0.0])
-
-
 # ------------------------------------------------------------- checkpoint
 
 
@@ -169,6 +140,19 @@ def test_checkpoint_validates_kind(tmp_path):
 
     with pytest.raises(ValueError, match="kind"):
         load_logreg(tmp_path / "a.ckpt")
+
+
+@pytest.mark.parametrize("payload_rows", [0, 2])
+def test_checkpoint_cut_inside_a_tensor_is_a_value_error(tmp_path, payload_rows):
+    from edgecert.checkpoint import read_checkpoint, write_checkpoint
+
+    path = tmp_path / "t.ckpt"
+    write_checkpoint(path, "t", {}, {"W": np.arange(6.0).reshape(3, 2)})
+    lines = path.read_text().splitlines()
+    header = lines.index("tensor W 3 2")
+    path.write_text("\n".join(lines[: header + 1 + payload_rows]) + "\n")
+    with pytest.raises(ValueError, match="truncated checkpoint"):
+        read_checkpoint(path, "t")
 
 
 def test_params_validate_shapes():

@@ -5,9 +5,9 @@ from edgecert.linear_eval import (
     LogRegModel,
     fit_logreg,
     load_logreg,
+    logits_many,
     predict,
     predict_many,
-    predict_proba,
     save_logreg,
 )
 
@@ -77,6 +77,13 @@ def test_determinism():
 
 def zero_model(n_classes=3, d=2):
     return LogRegModel(W=np.zeros((n_classes, d)), b=np.zeros(n_classes), l2=0.0)
+
+
+def predict_proba(m, z):
+    """Softmax class probabilities of one embedding, from logits_many."""
+    logits = logits_many(m, np.reshape(z, (1, -1)))[0]
+    e = np.exp(logits - logits.max())
+    return e / e.sum()
 
 
 def test_predict_proba_uniform_for_zero_model():

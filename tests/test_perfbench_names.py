@@ -31,8 +31,17 @@ def test_every_traced_layer_name_is_a_callable(monkeypatch):
 
 
 def test_names_the_output_checks_import_exist():
-    from edgecert import certify, graph
+    from edgecert import certify, cli, graph
+    from edgecert.noise import DeltaPolicy, EdgeDropSpec
 
     assert callable(certify.certified_k)
     assert callable(certify.ConfidenceBounds)
     assert callable(graph.khop_subgraph)
+    for name in ("parse_config", "resolve_config", "config_hash", "load_dataset", "split_nodes"):
+        assert callable(getattr(cli, name, None)), name
+    cfg = cli.resolve_config(dict(cli.CONFIG_DEFAULTS))
+    assert isinstance(cfg.raw, dict)
+    assert cfg["mu"] == cfg.raw["mu"]
+    assert isinstance(cfg.delta_policy, DeltaPolicy)
+    assert isinstance(cfg.edgedrop, EdgeDropSpec)
+    assert all(isinstance(k, int) for k in cfg.k_grid)

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from edgecert.trainer import (
     _nce_terms,
     augment,
     grad_check,
-    info_nce_loss,
     loss_and_grads,
     train_res,
 )
@@ -82,26 +82,26 @@ def test_augment_masks_whole_columns():
 
 def test_info_nce_uniform_two_nodes_is_log3():
     H = np.array([[1.0, 0.5], [1.0, 0.5]])
-    assert info_nce_loss(H, H, 0.5) == pytest.approx(np.log(3.0), abs=1e-12)
+    assert _nce_terms(H, H, 0.5)[0] == pytest.approx(np.log(3.0), abs=1e-12)
 
 
 def test_info_nce_uniform_matches_log_2n_minus_1():
     for n in (2, 3, 5, 8):
         H = np.tile([0.3, -0.7, 0.2], (n, 1))
-        assert info_nce_loss(H, H, 0.7) == pytest.approx(np.log(2 * n - 1), abs=1e-10)
+        assert _nce_terms(H, H, 0.7)[0] == pytest.approx(np.log(2 * n - 1), abs=1e-10)
 
 
 def test_info_nce_positive():
     rng = np.random.default_rng(0)
     H1 = rng.standard_normal((6, 4))
     H2 = rng.standard_normal((6, 4))
-    assert info_nce_loss(H1, H2, 0.5) > 0.0
+    assert _nce_terms(H1, H2, 0.5)[0] > 0.0
 
 
 def test_info_nce_low_temperature_limit():
     # identical positives, orthogonal negatives: loss -> 0 as tau -> 0
     H = np.eye(2)
-    assert info_nce_loss(H, H, 0.05) < 1e-8
+    assert _nce_terms(H, H, 0.05)[0] < 1e-8
 
 
 def test_info_nce_permutation_invariant():
@@ -109,20 +109,15 @@ def test_info_nce_permutation_invariant():
     H1 = rng.standard_normal((7, 3))
     H2 = rng.standard_normal((7, 3))
     perm = rng.permutation(7)
-    base = info_nce_loss(H1, H2, 0.4)
-    assert info_nce_loss(H1[perm], H2[perm], 0.4) == pytest.approx(base, rel=1e-12)
+    base = _nce_terms(H1, H2, 0.4)[0]
+    assert _nce_terms(H1[perm], H2[perm], 0.4)[0] == pytest.approx(base, rel=1e-12)
 
 
 def test_info_nce_zero_row_rejected():
     H1 = np.array([[1.0, 0.0], [0.0, 0.0]])
     H2 = np.ones((2, 2))
     with pytest.raises(ValueError, match="zero-norm"):
-        info_nce_loss(H1, H2, 0.5)
-
-
-def test_info_nce_rejects_bad_temperature():
-    with pytest.raises(ValueError):
-        info_nce_loss(np.ones((2, 2)), np.ones((2, 2)), 0.0)
+        _nce_terms(H1, H2, 0.5)
 
 
 @settings(max_examples=25, deadline=None)
@@ -132,10 +127,10 @@ def test_info_nce_positive_property(seed):
     n = int(rng.integers(2, 10))
     H1 = rng.standard_normal((n, 5)) + 0.1
     H2 = rng.standard_normal((n, 5)) + 0.1
-    assert info_nce_loss(H1, H2, 0.5) > 0.0
+    assert _nce_terms(H1, H2, 0.5)[0] > 0.0
 
 
-def _nce_terms_reference(H1, H2, tau, need_grad):
+def _nce_terms_reference(H1, H2, tau):
     """The full-width InfoNCE: (n, 2n) concatenations, transposed weights."""
     n = H1.shape[0]
     r1 = np.linalg.norm(H1, axis=1)
@@ -153,15 +148,11 @@ def _nce_terms_reference(H1, H2, tau, need_grad):
         m = both.max(axis=1)
         lse = m + np.log(np.exp(both - m[:, None]).sum(axis=1))
         losses = lse - np.diag(cross)
-        if not need_grad:
-            return losses, None, None
         return losses, np.exp(cross - lse[:, None]), np.exp(intra - lse[:, None])
 
     l1, w12, w11 = direction(E12, E11)
     l2, w21, w22 = direction(E12.T, E22)
     loss = float((l1.mean() + l2.mean()) / 2.0)
-    if not need_grad:
-        return loss, None, None
     eye = np.eye(n)
     c = 1.0 / (2.0 * n * tau)
     G12 = c * ((w12 - eye) + (w21 - eye).T)
@@ -185,23 +176,21 @@ def _views(n, p_dim=32):
     return H1, H1 + 0.3 * rng.standard_normal((n, p_dim))
 
 
-@pytest.mark.parametrize("need_grad", [True, False])
+@pytest.mark.parametrize("threaded", [True, False])
 @pytest.mark.parametrize("block_rows", [1, 7, None])  # 7 leaves a ragged last block
 @pytest.mark.parametrize("n", ORACLE_SIZES)
-def test_nce_terms_bit_identical_to_full_width_reference(n, block_rows, need_grad, monkeypatch):
+def test_nce_terms_bit_identical_to_full_width_reference(n, block_rows, threaded, monkeypatch):
     # exact until the fused pass: its row-block scores and its gradient sums
     # over blocks round differently, so both now match the oracle to rounding
     if block_rows is not None:
         monkeypatch.setattr(trainer_mod, "NCE_BLOCK_BYTES", 16 * n * block_rows)
     H1, H2 = _views(n)
-    loss, dH1, dH2 = _nce_terms(H1, H2, 0.5, need_grad)
-    ref_loss, ref_dH1, ref_dH2 = _nce_terms_reference(H1, H2, 0.5, need_grad)
+    with ThreadPoolExecutor(2) if threaded else nullcontext() as pool:
+        loss, dH1, dH2 = _nce_terms(H1, H2, 0.5, pool)
+    ref_loss, ref_dH1, ref_dH2 = _nce_terms_reference(H1, H2, 0.5)
     assert abs(loss - ref_loss) <= 1e-13 * abs(ref_loss)
-    if need_grad:
-        for got, ref in ((dH1, ref_dH1), (dH2, ref_dH2)):
-            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-    else:
-        assert dH1 is None and dH2 is None
+    for got, ref in ((dH1, ref_dH1), (dH2, ref_dH2)):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("block_rows", [7, None])
@@ -210,18 +199,12 @@ def test_nce_terms_threaded_equals_serial_exactly(n, block_rows, monkeypatch):
     if block_rows is not None:
         monkeypatch.setattr(trainer_mod, "NCE_BLOCK_BYTES", 16 * n * block_rows)
     H1, H2 = _views(n)
-    serial = _nce_terms(H1, H2, 0.5, True)
+    serial = _nce_terms(H1, H2, 0.5)
     with ThreadPoolExecutor(2) as pool:
-        threaded = _nce_terms(H1, H2, 0.5, True, pool)
+        threaded = _nce_terms(H1, H2, 0.5, pool)
     assert threaded[0] == serial[0]
     assert np.array_equal(threaded[1], serial[1])
     assert np.array_equal(threaded[2], serial[2])
-
-
-@pytest.mark.parametrize("n", ORACLE_SIZES)
-def test_nce_loss_without_grad_equals_loss_with_grad(n):
-    H1, H2 = _views(n)
-    assert _nce_terms(H1, H2, 0.5, False)[0] == _nce_terms(H1, H2, 0.5, True)[0]
 
 
 def test_nce_terms_peak_memory_under_seven_squares():
@@ -232,7 +215,7 @@ def test_nce_terms_peak_memory_under_seven_squares():
     H2 = rng.standard_normal((n, 32))
     tracemalloc.start()
     try:
-        _nce_terms(H1, H2, 0.5, True)
+        _nce_terms(H1, H2, 0.5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -248,7 +231,7 @@ def test_nce_terms_peak_memory_under_half_square(threads):
     with ThreadPoolExecutor(threads) as pool:
         tracemalloc.start()
         try:
-            _nce_terms(H1, H2, 0.5, True, pool if threads > 1 else None)
+            _nce_terms(H1, H2, 0.5, pool if threads > 1 else None)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -306,13 +289,6 @@ def test_train_rejects_zero_workers():
 def test_aug_config_rejects_bad_temperature(temperature):
     with pytest.raises(ValueError, match="temperature"):
         AugConfig(temperature=temperature)
-
-
-@pytest.mark.parametrize("temperature", [math.nan, math.inf])
-def test_info_nce_rejects_non_finite_temperature(temperature):
-    # at tau = inf every score is 0 and the loss would read log(2n - 1)
-    with pytest.raises(ValueError, match="temperature"):
-        info_nce_loss(np.eye(2), np.eye(2), temperature)
 
 
 @pytest.mark.parametrize(
