@@ -104,9 +104,42 @@ class ExperimentConfig:
         return self.raw["seed"]
 
 
+class _BadValue(ValueError):
+    """A config value that does not convert to its key's type."""
+
+    def __init__(self, key: str, value, kind: type, part=None):
+        shown = repr(value) if part is None else f"{value!r}: {part!r}"
+        super().__init__(f"{key} = {shown} is not a valid {kind.__name__}")
+        self.key = key
+
+
+def _typed(key: str, value, kind: type):
+    """value as kind; an int key also rejects a number that is not integral."""
+    try:
+        typed = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise _BadValue(key, value, kind) from None
+    if kind is int and not isinstance(value, str) and typed != value:
+        raise _BadValue(key, value, kind)
+    return typed
+
+
+def _int_list(key: str, text: str) -> list[int]:
+    """Comma-separated ints; empty items are skipped."""
+    items = []
+    for tok in text.split(","):
+        if tok.strip():
+            try:
+                items.append(int(tok))
+            except ValueError:
+                raise _BadValue(key, text, int, tok) from None
+    return items
+
+
 def parse_config(path) -> ExperimentConfig:
     """Read a flat key = value config file; see resolve_config."""
     values = {}
+    linenos = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -121,19 +154,25 @@ def parse_config(path) -> ExperimentConfig:
             if key in values:
                 raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
             values[key] = value.strip()
-    return resolve_config(values)
+            linenos[key] = lineno
+    try:
+        return resolve_config(values)
+    except _BadValue as err:
+        raise ValueError(f"{path}:{linenos[err.key]}: {err}") from None
 
 
 def resolve_config(values: dict) -> ExperimentConfig:
     """Typed and checked config from key -> value pairs; missing keys take their defaults.
 
     Each value takes the type of its CONFIG_DEFAULTS entry, and the stage specs
-    are built here, so a value that a later stage would reject fails now.
+    are built here, so a value that a later stage would reject fails now. A
+    value that does not convert names its key.
     """
     for key in values:
         if key not in CONFIG_DEFAULTS:
             raise ValueError(f"unknown config key {key!r}")
-    r = {key: type(default)(values.get(key, default)) for key, default in CONFIG_DEFAULTS.items()}
+    r = {key: _typed(key, values.get(key, default), type(default))
+         for key, default in CONFIG_DEFAULTS.items()}
     if r["config_version"] != CONFIG_VERSION:
         raise ValueError(f"unsupported config_version {r['config_version']}")
     if abs(r["train_frac"] + r["val_frac"] + r["test_frac"] - 1.0) > 1e-9:
@@ -153,8 +192,10 @@ def resolve_config(values: dict) -> ExperimentConfig:
     return ExperimentConfig(
         raw=r,
         edgedrop=EdgeDropSpec(r["beta_drop"]),
-        delta_policy=DeltaPolicy(r["delta_mode"], None if e_fixed == "" else int(e_fixed)),
-        k_grid=[int(tok) for tok in r["k_grid"].split(",") if tok.strip() != ""],
+        delta_policy=DeltaPolicy(
+            r["delta_mode"], None if e_fixed == "" else _typed("delta_e_fixed", e_fixed, int)
+        ),
+        k_grid=_int_list("k_grid", r["k_grid"]),
         train_config=TrainConfig(
             epochs=r["epochs"],
             learning_rate=r["learning_rate"],

@@ -1,4 +1,5 @@
-"""Graph data model: ingestion, synthetic generation, subgraphs, structure vectors.
+"""Graph data model: ingestion, synthetic generation, GCN propagation, subgraphs,
+structure vectors.
 
 Graphs are undirected and attributed. Edges are stored canonically as (u, v)
 pairs with u < v, deduplicated and sorted lexicographically. The structure
@@ -10,12 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 
 class ParseError(ValueError):
@@ -344,17 +342,77 @@ def sbm_generate(cfg: SbmConfig) -> Graph:
     return Graph(n, edges, features, labels)
 
 
-def normalized_adjacency(g: Graph) -> sparse.csr_array:
-    """GCN propagation matrix D~^{-1/2} (A + I) D~^{-1/2} as sparse CSR."""
-    from scipy import sparse
+# Consecutive positions share one scratch block of up to this many arcs' products
+# (1 MiB at width 64), which bounds a product's memory; a longer position has its own.
+GATHER_ARCS = 2048
 
+
+class Propagation:
+    """GCN propagation matrix D~^{-1/2} (A + I) D~^{-1/2}, applied as ``A @ X``.
+
+    Row i of ``A @ X`` is summed as a CSR product sums it: 0.0, then plus
+    ``a_ij * X[j]`` for each j in ascending column order, one rounding per
+    multiply and one per add. The arcs are stored position-major: rows are
+    ranked by falling arc count, so the rows that have a p-th arc are ranks
+    0..c_p-1, and position p adds one contiguous block of c_p products.
+    """
+
+    def __init__(self, n: int, cols: np.ndarray, vals: np.ndarray, bounds: np.ndarray,
+                 rank: np.ndarray):
+        self.shape = (n, n)
+        self._cols = cols  # arc columns, position-major
+        self._vals = vals[:, None]  # arc values, in the same order
+        self._rank = rank  # row i's place in each position's block
+        # [lo, hi, spans]: arcs lo..hi are gathered at once, and spans holds
+        # each of their positions' blocks relative to lo
+        self._groups: list[list] = []
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            if not self._groups or hi - self._groups[-1][0] > GATHER_ARCS:
+                self._groups.append([lo, lo, []])
+            group = self._groups[-1]
+            group[1] = hi
+            group[2].append((lo - group[0], hi - group[0]))
+        self._gather_rows = max((hi - lo for lo, hi, _ in self._groups), default=0)
+
+    def __matmul__(self, X) -> np.ndarray:
+        """A @ X for X of shape (n, width)."""
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[0] != self.shape[1]:
+            raise ValueError(f"cannot multiply a {self.shape} matrix by {X.shape}")
+        acc = np.zeros(X.shape)
+        buf = np.empty((self._gather_rows, X.shape[1]))
+        for lo, hi, spans in self._groups:
+            # mode "clip" writes straight into out ("raise" buffers); the columns are in range
+            prod = np.take(X, self._cols[lo:hi], axis=0, out=buf[: hi - lo], mode="clip")
+            prod *= self._vals[lo:hi]
+            for a, b in spans:
+                acc[: b - a] += prod[a:b]
+        return np.take(acc, self._rank, axis=0)
+
+
+def normalized_adjacency(g: Graph) -> Propagation:
+    """GCN propagation matrix D~^{-1/2} (A + I) D~^{-1/2} of g."""
     n = g.n_nodes
     dinv = 1.0 / np.sqrt(g.degrees() + 1.0)
     diag = np.arange(n, dtype=np.int64)
-    rows = np.concatenate([g.edges[:, 0], g.edges[:, 1], diag])
-    cols = np.concatenate([g.edges[:, 1], g.edges[:, 0], diag])
-    vals = dinv[rows] * dinv[cols]
-    return sparse.csr_array((vals, (rows, cols)), shape=(n, n))
+    # reversed edges, diagonal, edges: sorted stably by row, each row's columns ascend
+    rows = np.concatenate([g.edges[:, 1], diag, g.edges[:, 0]])
+    cols = np.concatenate([g.edges[:, 0], diag, g.edges[:, 1]])
+    order = np.argsort(rows, kind="stable")
+    rows, cols = rows[order], cols[order]
+    counts = np.bincount(rows, minlength=n)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(-counts, kind="stable")] = diag
+    # c_p, the number of rows with a p-th arc, is n minus the rows with at most p arcs
+    c = n - np.cumsum(np.bincount(counts, minlength=1))[:-1]
+    bounds = np.concatenate([[0], np.cumsum(c)])
+    position = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+    slot = bounds[position] + rank[rows]
+    packed_cols = np.empty_like(cols)
+    packed_cols[slot] = cols
+    vals = np.empty(rows.size)
+    vals[slot] = dinv[rows] * dinv[cols]
+    return Propagation(n, packed_cols, vals, bounds, rank)
 
 
 def _csr_rows(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -379,12 +437,15 @@ def khop_subgraph(g: Graph, center: int, k: int) -> KhopSubgraph:
     reached = np.zeros(g.n_nodes, dtype=bool)
     reached[center] = True
     frontier = np.array([center], dtype=np.int64)
+    # the frontier is marked, not deduplicated by np.unique, which imports numpy.ma
+    fresh = np.zeros_like(reached)
     for _ in range(k):
-        nbrs = indices[_csr_rows(indptr, frontier)]
-        frontier = np.unique(nbrs[~reached[nbrs]])
+        fresh[indices[_csr_rows(indptr, frontier)]] = True
+        fresh &= ~reached
+        frontier = np.flatnonzero(fresh)
         if not frontier.size:
             break
-        reached[frontier] = True
+        reached |= fresh
     kept = np.flatnonzero(reached)
     kept.setflags(write=False)
     # edges among kept nodes, each found once from its smaller endpoint

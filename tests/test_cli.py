@@ -88,6 +88,35 @@ def test_parse_config_rejects_values_a_later_stage_would(tmp_path, overrides, me
         parse_config(small_config(tmp_path, **overrides))
 
 
+@pytest.mark.parametrize("line, message", [
+    ("mu = abc", "mu = 'abc' is not a valid int"),
+    ("beta_drop = x", "beta_drop = 'x' is not a valid float"),
+    ("k_grid = 1,x", "k_grid = '1,x': 'x' is not a valid int"),
+], ids=["mu", "beta_drop", "k_grid"])
+def test_parse_config_names_key_and_line_of_a_value_that_does_not_convert(
+        tmp_path, line, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"# config\nseed = 1\n{line}\nepochs = 3\n")
+    with pytest.raises(ValueError) as err:
+        parse_config(path)
+    assert str(err.value) == f"{path}:3: {message}"
+    key, _, value = line.partition(" = ")
+    with pytest.raises(ValueError) as err:
+        resolve_config({key: value})
+    assert str(err.value) == message
+
+
+def test_resolve_config_rejects_non_integral_value_for_an_int_key():
+    # a file with mu = 30.7 is rejected; a dict must not truncate it to 30
+    with pytest.raises(ValueError, match=r"^mu = 30\.7 is not a valid int$"):
+        resolve_config({"mu": 30.7})
+    with pytest.raises(ValueError, match="attack_budget"):
+        resolve_config({"attack_budget": float("inf")})
+    cfg = resolve_config({"mu": 30.0, "epochs": np.float64(3.0)})
+    assert cfg.raw["mu"] == 30 and type(cfg.raw["mu"]) is int
+    assert cfg.raw["epochs"] == 3 and type(cfg.raw["epochs"]) is int
+
+
 def test_resolve_config_types_values_as_their_defaults(tmp_path):
     text = {key: str(value) for key, value in CONFIG_DEFAULTS.items()}
     text.update({"seed": "7", "mu": "30", "beta_drop": "0.25", "k_grid": "0,2", "delta_e_fixed": "4",
@@ -411,6 +440,7 @@ import sys
 from edgecert.cli import main
 main(["certify", "--config", sys.argv[1], "--out", sys.argv[2]])
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
+print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
 """
 
 
@@ -421,12 +451,31 @@ def test_certify_stage_loads_no_scipy(tmp_path, delta_mode):
     out = tmp_path / "run"
     cmd_gen(cfg, out)
     cmd_train(cfg, out)
-    assert _fresh_python(_CERTIFY_STAGE_SCRIPT, str(path), str(out)) == ["[]"]
+    # nor numpy.ma, which np.unique imports
+    assert _fresh_python(_CERTIFY_STAGE_SCRIPT, str(path), str(out)) == ["[]", "[]"]
     rows = (out / "certify_report.csv").read_text().splitlines()[2:]
     assert len(rows) == split_nodes(24, cfg)[2].size
     assert {row.split(",")[7] for row in rows} == {delta_mode}
     # some node reaches the Delta(k >= 1) scan, so paper mode evaluates its bound
     assert any(row.split(",")[8] != "" for row in rows)
+
+
+_TRAIN_STAGE_SCRIPT = """
+import sys
+from edgecert.cli import main
+main(["train", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def test_train_stage_loads_no_scipy(tmp_path):
+    # the GCN propagation is numpy's; loading scipy would set the stage's peak memory
+    path = small_config(tmp_path, epochs=3)
+    cfg = parse_config(path)
+    out = tmp_path / "run"
+    cmd_gen(cfg, out)
+    assert _fresh_python(_TRAIN_STAGE_SCRIPT, str(path), str(out)) == ["[]"]
+    assert len((out / "train_log.csv").read_text().splitlines()) == 2 + 3
 
 
 _CERTIFY_STAGE_POOL_SCRIPT = """

@@ -264,19 +264,19 @@ def test_sbm_peak_memory_under_six_squares():
 
 def test_adjacency_isolated_node():
     g = make_graph(1, [])
-    A = normalized_adjacency(g).toarray()
+    A = normalized_adjacency(g) @ np.eye(1)
     assert np.allclose(A, [[1.0]])
 
 
 def test_adjacency_single_edge():
     g = make_graph(2, [[0, 1]])
-    A = normalized_adjacency(g).toarray()
+    A = normalized_adjacency(g) @ np.eye(2)
     assert np.allclose(A, [[0.5, 0.5], [0.5, 0.5]])
 
 
 def test_adjacency_symmetric_entries_bounded():
     g = sbm_generate(sbm_cfg(nodes_per_block=15, p_in=0.4, p_out=0.1, seed=3))
-    A = normalized_adjacency(g).toarray()
+    A = normalized_adjacency(g) @ np.eye(g.n_nodes)
     assert np.allclose(A, A.T)
     assert A.min() >= 0.0 and A.max() <= 1.0
     row_sums = A.sum(axis=1)
@@ -288,9 +288,67 @@ def test_adjacency_permutation_equivariant():
     perm = np.array([2, 0, 3, 1])  # new id of old node i is perm[i]
     edges = np.sort(perm[g.edges], axis=1)
     gp = Graph(4, edges, g.features[np.argsort(perm)])
-    A = normalized_adjacency(g).toarray()
-    Ap = normalized_adjacency(gp).toarray()
+    A = normalized_adjacency(g) @ np.eye(4)
+    Ap = normalized_adjacency(gp) @ np.eye(4)
     assert np.allclose(Ap[np.ix_(perm, perm)], A)
+
+
+_PROPAGATION_CASES = {
+    "one_node": make_graph(1, []),
+    "no_edges": make_graph(5, []),
+    "isolated_nodes": make_graph(7, [[0, 3], [1, 3], [3, 6], [1, 6]]),
+    "sbm_dense": sbm_generate(sbm_cfg(nodes_per_block=15, p_in=0.4, p_out=0.1, seed=3)),
+    "sbm_sparse": sbm_generate(sbm_cfg(nodes_per_block=20, p_in=0.1, p_out=0.02, seed=8)),
+}
+
+
+def _sequential_rows(g, X):
+    """Row i of D~^-1/2 (A+I) D~^-1/2 @ X as a Python loop: 0.0, then plus
+    a_ij * X[j] for each j in ascending column order."""
+    dinv = 1.0 / np.sqrt(g.degrees() + 1.0)
+    nbrs = [{i} for i in range(g.n_nodes)]
+    for u, v in g.edges.tolist():
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    out = np.empty(X.shape)
+    for i in range(g.n_nodes):
+        for k in range(X.shape[1]):
+            total = 0.0
+            for j in sorted(nbrs[i]):
+                total += float(dinv[i] * dinv[j]) * float(X[j, k])
+            out[i, k] = total
+    return out
+
+
+@pytest.mark.parametrize("width", [1, 8, 64])
+@pytest.mark.parametrize("case", list(_PROPAGATION_CASES))
+def test_propagation_bit_identical_to_csr_product_and_row_sums(case, width):
+    # the product must round exactly as scipy's CSR product and a plain
+    # sequential row sum do, exact zeros (signed too) included
+    from scipy import sparse
+
+    g = _PROPAGATION_CASES[case]
+    n = g.n_nodes
+    rng = np.random.default_rng(width)
+    X = rng.standard_normal((n, width))
+    X[rng.random(X.shape) < 0.3] = 0.0
+    X[rng.random(X.shape) < 0.1] = -0.0
+    dinv = 1.0 / np.sqrt(g.degrees() + 1.0)
+    diag = np.arange(n)
+    rows = np.concatenate([g.edges[:, 0], g.edges[:, 1], diag])
+    cols = np.concatenate([g.edges[:, 1], g.edges[:, 0], diag])
+    csr = sparse.csr_array((dinv[rows] * dinv[cols], (rows, cols)), shape=(n, n))
+    got = normalized_adjacency(g) @ X
+    assert got.shape == (n, width)
+    assert got.tobytes() == (csr @ X).tobytes()
+    assert got.tobytes() == _sequential_rows(g, X).tobytes()
+
+
+def test_propagation_rejects_a_mismatched_operand():
+    with pytest.raises(ValueError, match="cannot multiply"):
+        normalized_adjacency(make_graph(3, [[0, 1]])) @ np.ones((2, 4))
+    with pytest.raises(ValueError, match="cannot multiply"):
+        normalized_adjacency(make_graph(3, [[0, 1]])) @ np.ones(3)
 
 
 # ------------------------------------------------------------------- khop
