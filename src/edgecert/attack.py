@@ -7,7 +7,9 @@ variant injects a fixed fraction of |E| new edges anywhere.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import repeat
 from math import ceil
 
 import numpy as np
@@ -45,7 +47,13 @@ def add_edges(g: Graph, new_edges: np.ndarray) -> Graph:
     new_edges = np.asarray(new_edges, dtype=np.int64).reshape(-1, 2)
     if new_edges.size == 0:
         return g
-    return Graph(g.n_nodes, np.vstack([g.edges, new_edges]), g.features, g.labels)
+    # each new edge goes where its slot falls among the sorted edges, so sorted
+    # new edges leave the list sorted and the constructor does not sort it again
+    n = g.n_nodes
+    at = np.searchsorted(
+        pair_slot(g.edges[:, 0], g.edges[:, 1], n), pair_slot(new_edges[:, 0], new_edges[:, 1], n)
+    )
+    return Graph(n, np.insert(g.edges, at, new_edges, axis=0), g.features, g.labels)
 
 
 def random_targeted_attack(g: Graph, target: int, budget: int, seed: int) -> np.ndarray:
@@ -60,22 +68,29 @@ def random_targeted_attack(g: Graph, target: int, budget: int, seed: int) -> np.
         raise ValueError("budget must be >= 0")
     if budget == 0:
         return np.zeros((0, 2), dtype=np.int64)
+    n = g.n_nodes
     indptr, indices = g.csr
     closed = np.append(indices[indptr[target] : indptr[target + 1]], target)
-    u = np.repeat(closed, g.n_nodes)
-    v = np.tile(np.arange(g.n_nodes), closed.size)
+    u = np.repeat(closed, n)
+    v = np.tile(np.arange(n), closed.size)
     apart = u != v
     u, v = u[apart], v[apart]
-    present = pair_slot(g.edges[:, 0], g.edges[:, 1], g.n_nodes)
-    slots = np.unique(pair_slot(np.minimum(u, v), np.maximum(u, v), g.n_nodes))
-    candidates = slots[~np.isin(slots, present, assume_unique=True)]
+    slots = np.sort(pair_slot(np.minimum(u, v), np.maximum(u, v), n))
+    slots = slots[np.diff(slots, prepend=-1) != 0]
+    # the present pairs among the slots are the edges at closed nodes
+    at_closed = np.zeros(n, dtype=bool)
+    at_closed[closed] = True
+    touching = g.edges[at_closed[g.edges[:, 0]] | at_closed[g.edges[:, 1]]]
+    absent = np.ones(slots.size, dtype=bool)
+    absent[np.searchsorted(slots, pair_slot(touching[:, 0], touching[:, 1], n))] = False
+    candidates = slots[absent]
     if budget > len(candidates):
         raise BudgetInfeasibleError(
             f"budget {budget} exceeds {len(candidates)} feasible pairs around node {target}"
         )
     rng = np.random.default_rng(seed)
     picks = rng.choice(len(candidates), size=budget, replace=False)
-    return np.column_stack(slot_pair(candidates[np.sort(picks)], g.n_nodes))
+    return np.column_stack(slot_pair(candidates[np.sort(picks)], n))
 
 
 def random_global_attack(g: Graph, rate: float, seed: int) -> Graph:
@@ -119,6 +134,23 @@ class EvasionReport:
     rows: list[EvasionRow]
     accuracy: float
 
+    @classmethod
+    def from_rows(cls, rows: list[EvasionRow]) -> EvasionReport:
+        n_correct = sum(row.correct for row in rows)
+        return cls(rows=rows, accuracy=n_correct / len(rows) if rows else 0.0)
+
+
+def attacked_graphs(g: Graph, targets, atk: AttackSpec) -> Iterator[Graph]:
+    """The graph each target is classified on under ``atk``, in target order:
+    its own targeted attack, drawn when it is reached, or the one global
+    attack that every target shares."""
+    if atk.mode == "global":
+        return repeat(random_global_attack(g, atk.rate, derive_seed(atk.seed, 0)), len(targets))
+    return (
+        add_edges(g, random_targeted_attack(g, t, atk.budget, derive_seed(atk.seed, 1, t)))
+        for t in map(int, targets)
+    )
+
 
 def evasion_eval(
     g: Graph,
@@ -129,17 +161,23 @@ def evasion_eval(
     smoothing: tuple[int, EdgeDropSpec] | None = None,
     seed: int = 0,
     k_hop: int = 2,
+    *,
+    attacked: Iterable[Graph] | None = None,
 ) -> EvasionReport:
     """Robust accuracy of the (optionally smoothed) pipeline under attack.
 
     For each target, the attack is applied, the node is classified on the
     perturbed graph, and the prediction is compared with the label. With
     smoothing = (mu, spec), predictions are Monte-Carlo majority votes;
-    otherwise the deterministic base pipeline is used.
+    otherwise the deterministic base pipeline is used. ``attacked`` holds
+    the targets' attacked graphs, as :func:`attacked_graphs` draws them when
+    not given; passing them lets two pipelines face one attack.
     """
     if g.labels is None:
         raise ValueError("evasion evaluation needs labeled targets")
     targets = [int(t) for t in targets]
+    if attacked is None:
+        attacked = attacked_graphs(g, targets, atk)
 
     def classify(graph: Graph, node: int, vote_seed: int) -> int:
         if smoothing is None:
@@ -148,38 +186,22 @@ def evasion_eval(
         tally = smoothed_predict(graph, node, enc, clf, mu, spec, k_hop, vote_seed)
         return majority_class(tally)
 
-    attacked_global = None
-    if atk.mode == "global":
-        attacked_global = random_global_attack(g, atk.rate, derive_seed(atk.seed, 0))
-
     rows = []
-    n_correct = 0
-    for t in targets:
-        if atk.mode == "targeted":
-            delta = random_targeted_attack(g, t, atk.budget, derive_seed(atk.seed, 1, t))
-            attacked_graph = add_edges(g, delta)
-            was_attacked = atk.budget > 0
-            budget = atk.budget
-        else:
-            attacked_graph = attacked_global
-            was_attacked = attacked_global.n_edges > g.n_edges
-            budget = attacked_global.n_edges - g.n_edges
+    for t, attacked_graph in zip(targets, attacked, strict=True):
+        budget = attacked_graph.n_edges - g.n_edges
         clean_pred = classify(g, t, derive_seed(seed, 0, t))
         attacked_pred = classify(attacked_graph, t, derive_seed(seed, 1, t))
-        correct = attacked_pred == int(g.labels[t])
-        n_correct += correct
         rows.append(
             EvasionRow(
                 node_id=t,
                 budget=budget,
-                attacked=was_attacked,
+                attacked=budget > 0,
                 clean_pred=clean_pred,
                 attacked_pred=attacked_pred,
-                correct=bool(correct),
+                correct=bool(attacked_pred == int(g.labels[t])),
             )
         )
-    accuracy = n_correct / len(targets) if targets else 0.0
-    return EvasionReport(rows=rows, accuracy=accuracy)
+    return EvasionReport.from_rows(rows)
 
 
 def write_attack_report(path, report: EvasionReport, config_hash: str) -> None:

@@ -21,7 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .attack import AttackSpec, evasion_eval, write_attack_report
+from .attack import (
+    AttackSpec,
+    EvasionReport,
+    attacked_graphs,
+    evasion_eval,
+    write_attack_report,
+)
 from .certify import certified_accuracy, certify_node, write_certification_report, write_curve
 from .encoder import DEPTH, forward, load_params, save_params
 from .graph import Graph, SbmConfig, load_graph, sbm_generate
@@ -443,12 +449,17 @@ def cmd_attack(cfg: ExperimentConfig, out_dir: Path) -> dict:
     atk = cfg.attack_spec
     k_hop = cfg.raw["k_hop"]
     eval_seed = derive_seed(cfg.seed, 101)
-    smoothed = evasion_eval(
-        g, targets, enc, clf, atk,
-        smoothing=(cfg.raw["mu"], cfg.edgedrop),
-        seed=eval_seed, k_hop=k_hop,
-    )
-    unsmoothed = evasion_eval(g, targets, enc, clf, atk, smoothing=None, seed=eval_seed, k_hop=k_hop)
+    pipelines = {"smoothed": (cfg.raw["mu"], cfg.edgedrop), "unsmoothed": None}
+    rows = {name: [] for name in pipelines}
+    # each target's attack is drawn once, and both pipelines classify it
+    # before the next one is drawn, so one attacked graph is held at a time
+    for t, attacked in zip(targets, attacked_graphs(g, targets, atk)):
+        for name, smoothing in pipelines.items():
+            rows[name] += evasion_eval(
+                g, [t], enc, clf, atk,
+                smoothing=smoothing, seed=eval_seed, k_hop=k_hop, attacked=[attacked],
+            ).rows
+    smoothed, unsmoothed = (EvasionReport.from_rows(rows[name]) for name in pipelines)
     chash = config_hash(cfg)
     write_attack_report(out_dir / "attack_smoothed.csv", smoothed, chash)
     write_attack_report(out_dir / "attack_unsmoothed.csv", unsmoothed, chash)

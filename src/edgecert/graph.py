@@ -65,11 +65,14 @@ class Graph:
                 raise ValueError("edges must satisfy u < v (no self-loops)")
             if edges.min() < 0 or edges.max() >= self.n_nodes:
                 raise ValueError("edge endpoint out of range")
-            order = np.lexsort((edges[:, 1], edges[:, 0]))
-            edges = edges[order]
-            dup = (np.diff(edges[:, 0]) == 0) & (np.diff(edges[:, 1]) == 0)
-            if np.any(dup):
-                raise ValueError("duplicate edges are not allowed")
+            du, dv = np.diff(edges[:, 0]), np.diff(edges[:, 1])
+            if ((du > 0) | ((du == 0) & (dv > 0))).all():
+                edges = edges.copy()  # already strictly ascending
+            else:
+                edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+                dup = (np.diff(edges[:, 0]) == 0) & (np.diff(edges[:, 1]) == 0)
+                if np.any(dup):
+                    raise ValueError("duplicate edges are not allowed")
         features = np.ascontiguousarray(self.features, dtype=np.float64)
         if features.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
@@ -114,7 +117,9 @@ class Graph:
         ``indices[indptr[u]:indptr[u+1]]``. Built on first use, then cached."""
         src = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
         dst = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-        indices = dst[np.argsort(src, kind="stable")]
+        # ids below 2**16 sort as uint16, which numpy's stable sort radix-sorts
+        keys = src.astype(np.uint16) if self.n_nodes <= 1 << 16 else src
+        indices = dst[np.argsort(keys, kind="stable")]
         indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=self.n_nodes), out=indptr[1:])
         for arr in (indptr, indices):
@@ -215,103 +220,186 @@ def _parse_int(token: str, path, lineno: int, what: str) -> int:
     return value
 
 
-def _data_lines(path):
+# Lines are converted in blocks of about this many characters, so that only one
+# block's tokens are Python strings at a time: a whole 2,000-node feature file's
+# would raise the stage's peak memory by about 2 MB.
+_BLOCK_CHARS = 1 << 12
+
+
+def _row_blocks(path):
+    """The tokens of the file's data lines (neither blank nor a ``#`` comment),
+    a non-empty block of lines at a time."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            yield lineno, line
+        while lines := fh.readlines(_BLOCK_CHARS):
+            rows = [t for line in lines if (t := line.split()) and not t[0].startswith("#")]
+            if rows:
+                yield rows
+
+
+def _int_table(path) -> np.ndarray | None:
+    """Every data line as a row of one int64 array; None when the lines are
+    ragged, a token is not an int, or there are none."""
+    try:
+        return np.concatenate([np.array(rows, dtype=np.int64) for rows in _row_blocks(path)])
+    except (ValueError, OverflowError):
+        return None
+
+
+def _numbered_rows(path):
+    """``(line number, tokens)`` of each data line, for the line-by-line parse."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            tokens = line.split()
+            if tokens and not tokens[0].startswith("#"):
+                yield lineno, tokens
+
+
+def _parse_feature_lines(path) -> tuple[list[int], list[list[float]]]:
+    ids: list[int] = []
+    vecs: list[list[float]] = []
+    seen: set[int] = set()
+    for lineno, tokens in _numbered_rows(path):
+        if len(tokens) < 2:
+            raise ParseError(path, lineno, "expected 'id x1 ... xf'")
+        node = _parse_int(tokens[0], path, lineno, "node id")
+        try:
+            vec = [float(t) for t in tokens[1:]]
+        except ValueError:
+            raise ParseError(path, lineno, "invalid feature value") from None
+        if not np.isfinite(vec).all():
+            raise ParseError(path, lineno, "non-finite feature value")
+        if vecs and len(vec) != len(vecs[0]):
+            raise ParseError(path, lineno, f"expected {len(vecs[0])} features, got {len(vec)}")
+        if node in seen:
+            raise ParseError(path, lineno, f"duplicate feature row for node {node}")
+        seen.add(node)
+        ids.append(node)
+        vecs.append(vec)
+    return ids, vecs
+
+
+def _parse_edge_lines(path, n_nodes: int) -> list[tuple[int, int]]:
+    pairs = []
+    for lineno, tokens in _numbered_rows(path):
+        if len(tokens) != 2:
+            raise ParseError(path, lineno, "expected 'u v'")
+        u = _parse_int(tokens[0], path, lineno, "node id")
+        v = _parse_int(tokens[1], path, lineno, "node id")
+        if u >= n_nodes or v >= n_nodes:
+            raise ValueError(
+                f"{path}:{lineno}: node id {max(u, v)} out of range for {n_nodes} nodes"
+            )
+        pairs.append((u, v))
+    return pairs
+
+
+def _parse_label_lines(path, n_nodes: int) -> list[tuple[int, int]]:
+    pairs = []
+    seen: set[int] = set()
+    for lineno, tokens in _numbered_rows(path):
+        if len(tokens) != 2:
+            raise ParseError(path, lineno, "expected 'id c'")
+        node = _parse_int(tokens[0], path, lineno, "node id")
+        cls = _parse_int(tokens[1], path, lineno, "class id")
+        if node >= n_nodes:
+            raise ValueError(f"{path}:{lineno}: node id {node} out of range")
+        if node in seen:
+            raise ParseError(path, lineno, f"duplicate label row for node {node}")
+        seen.add(node)
+        pairs.append((node, cls))
+    return pairs
+
+
+def _distinct_below(ids: np.ndarray, n: int) -> bool:
+    """Whether the ids are distinct and in ``[0, n)``."""
+    if ids.size == 0:
+        return True
+    return bool(ids.min() >= 0 and ids.max() < n and np.bincount(ids, minlength=n).max() == 1)
+
+
+def _load_features(path) -> np.ndarray:
+    ids, values = [], []
+    try:
+        for rows in _row_blocks(path):
+            ids.append(np.array([t[0] for t in rows], dtype=np.int64))
+            values.append(np.array(rows, dtype=np.float64))
+        ids, values = np.concatenate(ids), np.concatenate(values)[:, 1:]
+        whole = (
+            values.shape[1] > 0 and np.isfinite(values).all() and _distinct_below(ids, ids.size)
+        )
+    except (ValueError, OverflowError):
+        whole = False
+    if not whole:
+        ids, values = _parse_feature_lines(path)
+        if not ids:
+            return np.zeros((0, 0))
+        # distinct non-negative ids leave a gap below their count iff one reaches it
+        if max(ids) >= len(ids):
+            missing = sorted(set(range(len(ids))).difference(ids))
+            raise ValueError(
+                f"{path}: missing feature rows for nodes {missing[:5]}"
+                + ("..." if len(missing) > 5 else "")
+            )
+    features = np.empty((len(ids), len(values[0])))
+    features[ids] = values
+    return features
+
+
+def _load_edges(path, n_nodes: int) -> tuple[np.ndarray, LoadReport]:
+    pairs = _int_table(path)
+    if pairs is None or pairs.shape[1] != 2 or pairs.min() < 0 or pairs.max() >= n_nodes:
+        pairs = np.array(_parse_edge_lines(path, n_nodes), dtype=np.int64).reshape(-1, 2)
+    loops = pairs[:, 0] == pairs[:, 1]
+    u, v = pairs[~loops].T
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    first = np.ones(lo.size, dtype=bool)
+    first[1:] = (np.diff(lo) != 0) | (np.diff(hi) != 0)
+    report = LoadReport(
+        n_duplicate_edges=int(lo.size - first.sum()), n_self_loops=int(loops.sum())
+    )
+    return np.column_stack((lo[first], hi[first])), report
+
+
+def _load_labels(path, n_nodes: int) -> np.ndarray:
+    pairs = _int_table(path)
+    if (
+        pairs is None
+        or pairs.shape[1] != 2
+        or pairs[:, 1].min() < 0
+        or not _distinct_below(pairs[:, 0], n_nodes)
+    ):
+        pairs = np.array(_parse_label_lines(path, n_nodes), dtype=np.int64).reshape(-1, 2)
+    labels = np.full(n_nodes, -1, dtype=np.int64)
+    labels[pairs[:, 0]] = pairs[:, 1]
+    unlabeled = np.nonzero(labels < 0)[0]
+    if unlabeled.size:
+        raise ValueError(f"{path}: nodes without labels: {unlabeled[:5]}")
+    return labels
 
 
 def load_graph(edge_path, feature_path, label_path=None) -> tuple[Graph, LoadReport]:
     """Load a graph from whitespace-separated text files.
 
     Edge file: one ``u v`` pair per line. Feature file: ``id x1 ... xf`` rows,
-    one per node, constant width. Label file (optional): ``id c`` rows
-    covering every node. ``#`` comment lines and blank lines are ignored.
+    one per node, constant width. Label file (optional): ``id c`` rows, one
+    per node. ``#`` comment lines and blank lines are ignored.
 
     Returns the graph plus a report counting dropped duplicate edges and
     self-loops. Malformed lines raise :class:`ParseError` with the line
     number; out-of-range node ids raise :class:`ValueError`.
+
+    Each file's tokens are converted by numpy, whose string parsing is
+    Python's ``int`` and ``float``, a block of lines per call, and checked as
+    whole arrays. Only a file that fails is parsed again line by line, to
+    name its first bad line.
     """
-    rows: dict[int, np.ndarray] = {}
-    width = None
-    for lineno, line in _data_lines(feature_path):
-        tokens = line.split()
-        if len(tokens) < 2:
-            raise ParseError(feature_path, lineno, "expected 'id x1 ... xf'")
-        node = _parse_int(tokens[0], feature_path, lineno, "node id")
-        try:
-            vec = np.array([float(t) for t in tokens[1:]], dtype=np.float64)
-        except ValueError:
-            raise ParseError(feature_path, lineno, "invalid feature value") from None
-        if not np.isfinite(vec).all():
-            raise ParseError(feature_path, lineno, "non-finite feature value")
-        if width is None:
-            width = vec.size
-        elif vec.size != width:
-            raise ParseError(
-                feature_path, lineno, f"expected {width} features, got {vec.size}"
-            )
-        if node in rows:
-            raise ParseError(feature_path, lineno, f"duplicate feature row for node {node}")
-        rows[node] = vec
-    n_nodes = len(rows)
-    missing = [i for i in range(n_nodes) if i not in rows]
-    if missing:
-        raise ValueError(
-            f"{feature_path}: missing feature rows for nodes {missing[:5]}"
-            + ("..." if len(missing) > 5 else "")
-        )
-    features = np.vstack([rows[i] for i in range(n_nodes)]) if n_nodes else np.zeros((0, 0))
-
-    seen: set[tuple[int, int]] = set()
-    pairs: list[tuple[int, int]] = []
-    n_dup = 0
-    n_self = 0
-    for lineno, line in _data_lines(edge_path):
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise ParseError(edge_path, lineno, "expected 'u v'")
-        u = _parse_int(tokens[0], edge_path, lineno, "node id")
-        v = _parse_int(tokens[1], edge_path, lineno, "node id")
-        if u >= n_nodes or v >= n_nodes:
-            raise ValueError(
-                f"{edge_path}:{lineno}: node id {max(u, v)} out of range for "
-                f"{n_nodes} nodes"
-            )
-        if u == v:
-            n_self += 1
-            continue
-        pair = (min(u, v), max(u, v))
-        if pair in seen:
-            n_dup += 1
-            continue
-        seen.add(pair)
-        pairs.append(pair)
-
-    labels = None
-    if label_path is not None:
-        labels_arr = np.full(n_nodes, -1, dtype=np.int64)
-        for lineno, line in _data_lines(label_path):
-            tokens = line.split()
-            if len(tokens) != 2:
-                raise ParseError(label_path, lineno, "expected 'id c'")
-            node = _parse_int(tokens[0], label_path, lineno, "node id")
-            cls = _parse_int(tokens[1], label_path, lineno, "class id")
-            if node >= n_nodes:
-                raise ValueError(
-                    f"{label_path}:{lineno}: node id {node} out of range"
-                )
-            labels_arr[node] = cls
-        unlabeled = np.nonzero(labels_arr < 0)[0]
-        if unlabeled.size:
-            raise ValueError(f"{label_path}: nodes without labels: {unlabeled[:5]}")
-        labels = labels_arr
-
-    graph = Graph(n_nodes, np.array(pairs, dtype=np.int64).reshape(-1, 2), features, labels)
-    return graph, LoadReport(n_duplicate_edges=n_dup, n_self_loops=n_self)
+    features = _load_features(feature_path)
+    n_nodes = features.shape[0]
+    edges, report = _load_edges(edge_path, n_nodes)
+    labels = None if label_path is None else _load_labels(label_path, n_nodes)
+    return Graph(n_nodes, edges, features, labels), report
 
 
 def sbm_generate(cfg: SbmConfig) -> Graph:

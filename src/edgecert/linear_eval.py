@@ -75,12 +75,15 @@ def fit_logreg(
         raise ValueError("Z_train must be 2-D with one label per row")
     if l2 < 0:
         raise ValueError("l2 must be non-negative")
-    classes = np.unique(Y)
-    n_classes = int(Y.max()) + 1 if Y.size else 0
+    if Y.size and Y.min() < 0:
+        negative = sorted(set(Y[Y < 0].tolist()))
+        raise ValueError(f"training labels must be non-negative class ids, got {negative}")
+    counts = np.bincount(Y)
+    n_classes = counts.size
     if n_classes < 2:
         raise ValueError("need at least 2 classes in the training labels")
-    if classes.size != n_classes:
-        missing = sorted(set(range(n_classes)) - set(classes.tolist()))
+    if not counts.all():
+        missing = np.flatnonzero(counts == 0).tolist()
         raise ValueError(f"classes missing from training labels: {missing}")
 
     n, d = Z.shape

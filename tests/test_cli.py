@@ -259,6 +259,56 @@ def test_zero_budget_attack_matches_clean(tmp_path):
         assert row.split(",")[2] == "False"  # attacked flag off at zero budget
 
 
+@pytest.mark.parametrize("mode", ["targeted", "global"])
+def test_attack_stage_draws_each_attack_once(tmp_path, monkeypatch, mode):
+    from edgecert import attack
+    from edgecert.cli import _attack_targets, _load_checkpoints, load_dataset
+    from edgecert.rng import derive_seed
+
+    cfg = parse_config(small_config(tmp_path, epochs=3, attack_mode=mode, attack_rate=0.2))
+    out = tmp_path / "run"
+    cmd_gen(cfg, out)
+    cmd_train(cfg, out)
+    calls = {}
+    for name in ("random_targeted_attack", "random_global_attack", "add_edges"):
+        def counted(*args, _name=name, _original=getattr(attack, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(attack, name, counted)
+    summary = cmd_attack(cfg, out)
+    monkeypatch.undo()
+    if mode == "targeted":
+        assert calls == {"random_targeted_attack": 5, "add_edges": 5}
+    else:
+        assert calls == {"random_global_attack": 1, "add_edges": 1}
+
+    # the outputs of two evaluations that each draw their own attacks
+    g = load_dataset(cfg, out)
+    enc, clf = _load_checkpoints(out)
+    targets = _attack_targets(cfg, split_nodes(g.n_nodes, cfg)[2])
+    eval_seed = derive_seed(cfg.seed, 101)
+    reports = {
+        name: attack.evasion_eval(
+            g, targets, enc, clf, cfg.attack_spec,
+            smoothing=smoothing, seed=eval_seed, k_hop=cfg.raw["k_hop"],
+        )
+        for name, smoothing in (("smoothed", (cfg.raw["mu"], cfg.edgedrop)), ("unsmoothed", None))
+    }
+    chash = config_hash(cfg)
+    for name, report in reports.items():
+        attack.write_attack_report(tmp_path / f"{name}.csv", report, chash)
+        assert (out / f"attack_{name}.csv").read_bytes() == (tmp_path / f"{name}.csv").read_bytes()
+    assert summary == json.loads((out / "attack_summary.json").read_text()) == {
+        "config_hash": chash,
+        "attack_mode": mode,
+        "attack_budget": 2,
+        "attack_rate": 0.2,
+        "n_targets": 5,
+        "robust_accuracy_smoothed": reports["smoothed"].accuracy,
+        "robust_accuracy_unsmoothed": reports["unsmoothed"].accuracy,
+    }
+
+
 def test_beta_zero_certifies_nothing_beyond_k0(tmp_path):
     cfg = parse_config(small_config(tmp_path, beta_drop=0.0, mu=10))
     out = tmp_path / "run"
@@ -435,47 +485,46 @@ def test_package_and_vote_load_no_scipy_submodule():
     assert _fresh_python(_IMPORT_POLICY_SCRIPT) == ["[]", "[]", "[]", "[]"]
 
 
-_CERTIFY_STAGE_SCRIPT = """
+_STAGE_SCRIPT = """
 import sys
 from edgecert.cli import main
-main(["certify", "--config", sys.argv[1], "--out", sys.argv[2]])
+main([sys.argv[1], "--config", sys.argv[2], "--out", sys.argv[3]])
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
 print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
 """
 
 
-@pytest.mark.parametrize("delta_mode", ["exact", "paper"])
-def test_certify_stage_loads_no_scipy(tmp_path, delta_mode):
-    path = small_config(tmp_path, epochs=3, delta_mode=delta_mode)
+@pytest.mark.parametrize("stage,overrides", [
+    pytest.param("gen", {}, id="gen"),
+    pytest.param("train", {}, id="train"),
+    pytest.param("certify", {"delta_mode": "exact"}, id="certify-exact"),
+    pytest.param("certify", {"delta_mode": "paper"}, id="certify-paper"),
+    pytest.param("attack", {}, id="attack"),
+])
+def test_stage_loads_no_scipy_nor_numpy_ma(tmp_path, stage, overrides):
+    # each stage is a fresh process: loading scipy would set its peak memory,
+    # and numpy.ma is what np.unique imports
+    path = small_config(tmp_path, epochs=3, **overrides)
     cfg = parse_config(path)
     out = tmp_path / "run"
-    cmd_gen(cfg, out)
-    cmd_train(cfg, out)
-    # nor numpy.ma, which np.unique imports
-    assert _fresh_python(_CERTIFY_STAGE_SCRIPT, str(path), str(out)) == ["[]", "[]"]
-    rows = (out / "certify_report.csv").read_text().splitlines()[2:]
-    assert len(rows) == split_nodes(24, cfg)[2].size
-    assert {row.split(",")[7] for row in rows} == {delta_mode}
-    # some node reaches the Delta(k >= 1) scan, so paper mode evaluates its bound
-    assert any(row.split(",")[8] != "" for row in rows)
-
-
-_TRAIN_STAGE_SCRIPT = """
-import sys
-from edgecert.cli import main
-main(["train", "--config", sys.argv[1], "--out", sys.argv[2]])
-print(sorted(m for m in sys.modules if m.startswith("scipy")))
-"""
-
-
-def test_train_stage_loads_no_scipy(tmp_path):
-    # the GCN propagation is numpy's; loading scipy would set the stage's peak memory
-    path = small_config(tmp_path, epochs=3)
-    cfg = parse_config(path)
-    out = tmp_path / "run"
-    cmd_gen(cfg, out)
-    assert _fresh_python(_TRAIN_STAGE_SCRIPT, str(path), str(out)) == ["[]"]
-    assert len((out / "train_log.csv").read_text().splitlines()) == 2 + 3
+    if stage != "gen":
+        cmd_gen(cfg, out)
+    if stage in ("certify", "attack"):
+        cmd_train(cfg, out)
+    assert _fresh_python(_STAGE_SCRIPT, stage, str(path), str(out)) == ["[]", "[]"]
+    if stage == "gen":
+        assert (out / "features.txt").exists()
+    elif stage == "train":
+        assert len((out / "train_log.csv").read_text().splitlines()) == 2 + 3
+    elif stage == "certify":
+        rows = (out / "certify_report.csv").read_text().splitlines()[2:]
+        assert len(rows) == split_nodes(24, cfg)[2].size
+        assert {row.split(",")[7] for row in rows} == {overrides["delta_mode"]}
+        # some node reaches the Delta(k >= 1) scan, so paper mode evaluates its bound
+        assert any(row.split(",")[8] != "" for row in rows)
+    else:
+        summary = json.loads((out / "attack_summary.json").read_text())
+        assert (summary["attack_mode"], summary["n_targets"]) == ("targeted", 5)
 
 
 _CERTIFY_STAGE_POOL_SCRIPT = """

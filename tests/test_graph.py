@@ -142,6 +142,257 @@ def test_load_graph_incomplete_labels(tmp_path):
         load_graph(tmp_path / "e.txt", tmp_path / "x.txt", tmp_path / "y.txt")
 
 
+def test_load_graph_rejects_duplicate_label_row(tmp_path):
+    write(tmp_path / "e.txt", ["0 1"])
+    write(tmp_path / "x.txt", ["0 1.0", "1 2.0"])
+    write(tmp_path / "y.txt", ["0 1", "# relabel", "1 0", "0 0"])
+    with pytest.raises(ParseError, match=r"y\.txt:4: duplicate label row for node 0") as info:
+        load_graph(tmp_path / "e.txt", tmp_path / "x.txt", tmp_path / "y.txt")
+    assert info.value.lineno == 4
+
+
+# The line-by-line parser that the whole-file parse replaced, kept as its oracle.
+
+
+def _reference_parse_int(token, path, lineno, what):
+    try:
+        value = int(token)
+    except ValueError:
+        raise ParseError(path, lineno, f"invalid {what} {token!r}") from None
+    if value < 0:
+        raise ParseError(path, lineno, f"{what} must be non-negative, got {value}")
+    return value
+
+
+def _reference_data_lines(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            yield lineno, line
+
+
+def _reference_load_graph(edge_path, feature_path, label_path=None):
+    rows = {}
+    width = None
+    for lineno, line in _reference_data_lines(feature_path):
+        tokens = line.split()
+        if len(tokens) < 2:
+            raise ParseError(feature_path, lineno, "expected 'id x1 ... xf'")
+        node = _reference_parse_int(tokens[0], feature_path, lineno, "node id")
+        try:
+            vec = np.array([float(t) for t in tokens[1:]], dtype=np.float64)
+        except ValueError:
+            raise ParseError(feature_path, lineno, "invalid feature value") from None
+        if not np.isfinite(vec).all():
+            raise ParseError(feature_path, lineno, "non-finite feature value")
+        if width is None:
+            width = vec.size
+        elif vec.size != width:
+            raise ParseError(feature_path, lineno, f"expected {width} features, got {vec.size}")
+        if node in rows:
+            raise ParseError(feature_path, lineno, f"duplicate feature row for node {node}")
+        rows[node] = vec
+    n_nodes = len(rows)
+    missing = [i for i in range(n_nodes) if i not in rows]
+    if missing:
+        raise ValueError(
+            f"{feature_path}: missing feature rows for nodes {missing[:5]}"
+            + ("..." if len(missing) > 5 else "")
+        )
+    features = np.vstack([rows[i] for i in range(n_nodes)]) if n_nodes else np.zeros((0, 0))
+
+    seen = set()
+    pairs = []
+    n_dup = 0
+    n_self = 0
+    for lineno, line in _reference_data_lines(edge_path):
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise ParseError(edge_path, lineno, "expected 'u v'")
+        u = _reference_parse_int(tokens[0], edge_path, lineno, "node id")
+        v = _reference_parse_int(tokens[1], edge_path, lineno, "node id")
+        if u >= n_nodes or v >= n_nodes:
+            raise ValueError(
+                f"{edge_path}:{lineno}: node id {max(u, v)} out of range for {n_nodes} nodes"
+            )
+        if u == v:
+            n_self += 1
+            continue
+        pair = (min(u, v), max(u, v))
+        if pair in seen:
+            n_dup += 1
+            continue
+        seen.add(pair)
+        pairs.append(pair)
+
+    labels = None
+    if label_path is not None:
+        labels_arr = np.full(n_nodes, -1, dtype=np.int64)
+        for lineno, line in _reference_data_lines(label_path):
+            tokens = line.split()
+            if len(tokens) != 2:
+                raise ParseError(label_path, lineno, "expected 'id c'")
+            node = _reference_parse_int(tokens[0], label_path, lineno, "node id")
+            cls = _reference_parse_int(tokens[1], label_path, lineno, "class id")
+            if node >= n_nodes:
+                raise ValueError(f"{label_path}:{lineno}: node id {node} out of range")
+            labels_arr[node] = cls
+        unlabeled = np.nonzero(labels_arr < 0)[0]
+        if unlabeled.size:
+            raise ValueError(f"{label_path}: nodes without labels: {unlabeled[:5]}")
+        labels = labels_arr
+
+    graph = Graph(n_nodes, np.array(pairs, dtype=np.int64).reshape(-1, 2), features, labels)
+    return graph, (n_dup, n_self)
+
+
+def _write_files(tmp_path, edges, features, labels):
+    """Write the three files verbatim (no newline translation); None omits labels."""
+    paths = [tmp_path / "e.txt", tmp_path / "x.txt", tmp_path / "y.txt"]
+    for path, text in zip(paths, (edges, features, labels)):
+        if text is not None:
+            path.write_bytes(text.encode("utf-8"))
+    return paths[0], paths[1], paths[2] if labels is not None else None
+
+
+def _random_dataset_files(tmp_path, n, seed, shuffle=False):
+    from edgecert.cli import write_graph_files
+
+    rng = np.random.default_rng(seed)
+    pairs = np.sort(rng.integers(0, n, size=(3 * n, 2)), axis=1)
+    pairs = pairs[pairs[:, 0] < pairs[:, 1]]
+    edges = np.array(sorted(set(map(tuple, pairs.tolist()))), dtype=np.int64)
+    features = rng.standard_normal((n, 8)) * 10.0 ** rng.integers(-5, 6, size=(n, 8))
+    features[0, :2] = (0.0, -0.0)
+    g = Graph(n, edges, features, rng.integers(0, 4, size=n))
+    write_graph_files(g, tmp_path)
+    paths = (tmp_path / "edges.txt", tmp_path / "features.txt", tmp_path / "labels.txt")
+    if shuffle:
+        for path in paths[1:]:
+            lines = path.read_text().splitlines(keepends=True)
+            path.write_text("".join(lines[i] for i in rng.permutation(len(lines))))
+    return paths
+
+
+_VALID_FILES = {
+    "comments-and-blank-lines": (
+        "# edges\n\n0 1\n   \n  # indented comment\n1 2\n\t\n",
+        "# id x\n0 1.5 2\n\n1 -3 4e-2\n  # note\n2 0 0\n",
+        "\n0 1\n# c\n1 0\n2 1\n",
+    ),
+    "reversed-duplicate-and-self-loop-edges": (
+        "2 0\n0 2\n1 1\n2 0\n1 2\n2 1\n0 0\n",
+        "0 1\n1 2\n2 3\n",
+        None,
+    ),
+    "number-spellings": (
+        "+0 0_1\n0002 +1\n",
+        "0 +3 1_0.5 1e-3 2.5E2\n1 -1e1 0.0 -0 .5\n2 1E+300 -2.5e-300 7 4\n",
+        "0 +1\n1 0_0\n2 2\n",
+    ),
+    "no-trailing-newline": ("0 1\n1 2", "0 1.0\n1 2.0\n2 3.0", "0 0\n1 1\n2 0"),
+    "crlf-and-cr-line-ends": ("0 1\r\n1 2\r2 0\r\n", "0 1.0\r\n1 2.0\r\n2 3.0\r\n", "0 0\r1 1\r2 0"),
+    "unicode-digits-and-spaces": ("٠ ١\n", "0 1.5\n1 ٢\n", None),
+    "no-edges": ("# none\n", "0 1.0\n1 2.0\n", "0 0\n1 1\n"),
+    "no-nodes": ("", "# empty\n", None),
+    "isolated-nodes": ("3 4\n", "4 0.5\n3 0.5\n2 1\n1 1\n0 0\n", "4 0\n3 1\n2 0\n1 1\n0 0\n"),
+}
+
+
+def _assert_same_load(paths):
+    g, report = load_graph(*paths)
+    ref, (n_dup, n_self) = _reference_load_graph(*paths)
+    assert g.n_nodes == ref.n_nodes
+    assert g.features.shape == ref.features.shape
+    assert g.features.tobytes() == ref.features.tobytes()
+    assert g.edges.tolist() == ref.edges.tolist()
+    if ref.labels is None:
+        assert g.labels is None
+    else:
+        assert g.labels.tolist() == ref.labels.tolist()
+    assert (report.n_duplicate_edges, report.n_self_loops) == (n_dup, n_self)
+    return g, report
+
+
+@pytest.mark.parametrize("case", list(_VALID_FILES))
+def test_load_graph_matches_line_parser_on_valid_files(tmp_path, case):
+    _assert_same_load(_write_files(tmp_path, *_VALID_FILES[case]))
+
+
+@pytest.mark.parametrize("n,shuffle", [(100, False), (2000, False), (100, True), (2000, True)])
+def test_load_graph_matches_line_parser_on_written_datasets(tmp_path, n, shuffle):
+    g, _ = _assert_same_load(_random_dataset_files(tmp_path, n, seed=n, shuffle=shuffle))
+    assert g.n_nodes == n and g.n_edges > n
+
+
+_HUGE = "9" * 30
+
+_MALFORMED_FILES = {
+    # features
+    "feature-row-without-values": ("0 1\n", "0 1.0\n1\n", None),
+    "feature-node-id-not-an-int": ("0 1\n", "0 1.0\n1.0 2.0\n", None),
+    "feature-node-id-hex": ("0 1\n", "0 1.0\n0x1 2.0\n", None),
+    "feature-node-id-negative": ("0 1\n", "0 1.0\n-1 2.0\n", None),
+    "feature-value-invalid": ("0 1\n", "0 1.0\n1 abc\n", None),
+    "feature-value-hex": ("0 1\n", "0 1.0\n1 0x10\n", None),
+    "feature-value-nan": ("0 1\n", "0 1.0\n1 nan\n", None),
+    "feature-value-inf-overflow": ("0 1\n", "0 1.0\n1 1e400\n", None),
+    "feature-width-changes": ("0 1\n", "0 1.0 2.0\n1 3.0\n", None),
+    "feature-width-grows": ("0 1\n", "0 1.0\n1 3.0 4.0\n", None),
+    "feature-duplicate-row": ("0 1\n", "0 1.0\n1 2.0\n0 3.0\n", None),
+    "feature-missing-rows": ("0 1\n", "0 1.0\n3 2.0\n", None),
+    "feature-many-missing-rows": ("0 1\n", "".join(f"{i + 10} 1.0\n" for i in range(8)), None),
+    "feature-id-beyond-int64": ("0 1\n", f"0 1.0\n{_HUGE} 2.0\n", None),
+    "feature-id-beyond-int64-then-bad-line": ("0 1\n", f"{_HUGE} 1.0\n1 x\n", None),
+    "feature-non-finite-before-ragged": ("0 1\n", "0 1.0\n1 inf\n2 1.0 2.0\n", None),
+    "feature-ragged-before-non-finite": ("0 1\n", "0 1.0\n1 1.0 2.0\n2 nan\n", None),
+    "feature-duplicate-before-invalid": ("0 1\n", "0 1.0\n0 1.0\n1 x\n", None),
+    "feature-inline-comment": ("0 1\n", "0 1.0 # note\n1 2.0\n", None),
+    # edges, after a valid feature file
+    "edge-inline-comment": ("0 1 # note\n", "0 1.0\n1 2.0\n", None),
+    "edge-one-token": ("0 1\n1\n", "0 1.0\n1 2.0\n", None),
+    "edge-three-tokens": ("0 1 1\n", "0 1.0\n1 2.0\n", None),
+    "edge-float-id": ("0 1\n0 1.0\n", "0 1.0\n1 2.0\n", None),
+    "edge-negative-id": ("0 1\n1 -1\n", "0 1.0\n1 2.0\n", None),
+    "edge-out-of-range": ("0 1\n0 5\n", "0 1.0\n1 2.0\n", None),
+    "edge-out-of-range-first-endpoint": ("7 1\n", "0 1.0\n1 2.0\n", None),
+    "edge-beyond-int64": (f"0 {_HUGE}\n", "0 1.0\n1 2.0\n", None),
+    "edge-out-of-range-before-invalid": ("0 5\n0 x\n", "0 1.0\n1 2.0\n", None),
+    "edge-invalid-before-out-of-range": ("0 x\n0 5\n", "0 1.0\n1 2.0\n", None),
+    "edge-to-a-graph-without-nodes": ("0 0\n", "", None),
+    "features-checked-before-edges": ("0 x\n", "0 1.0\n1 y\n", None),
+    # labels, after valid feature and edge files
+    "label-three-tokens": ("0 1\n", "0 1.0\n1 2.0\n", "0 1 2\n1 0\n"),
+    "label-class-not-an-int": ("0 1\n", "0 1.0\n1 2.0\n", "0 1\n1 a\n"),
+    "label-class-negative": ("0 1\n", "0 1.0\n1 2.0\n", "0 1\n1 -2\n"),
+    "label-node-negative": ("0 1\n", "0 1.0\n1 2.0\n", "-1 1\n1 0\n"),
+    "label-node-out-of-range": ("0 1\n", "0 1.0\n1 2.0\n", "0 1\n2 0\n"),
+    "label-node-beyond-int64": ("0 1\n", "0 1.0\n1 2.0\n", f"0 1\n{_HUGE} 0\n"),
+    "label-missing": ("0 1\n", "0 1.0\n1 2.0\n2 3.0\n", "1 1\n"),
+    "label-inline-comment": ("0 1\n", "0 1.0\n1 2.0\n", "0 1 # note\n1 0\n"),
+    "edges-checked-before-labels": ("0 9\n", "0 1.0\n1 2.0\n", "0 x\n"),
+}
+
+
+def _raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return info.value
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_FILES))
+def test_load_graph_errors_match_line_parser(tmp_path, case):
+    paths = _write_files(tmp_path, *_MALFORMED_FILES[case])
+    got = _raised(load_graph, *paths)
+    want = _raised(_reference_load_graph, *paths)
+    assert type(got) is type(want)
+    assert isinstance(got, ValueError)
+    assert str(got) == str(want)
+    assert getattr(got, "lineno", None) == getattr(want, "lineno", None)
+
+
 # ------------------------------------------------------------------ sbm
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,16 @@ def test_single_class_rejected():
 def test_missing_class_rejected():
     with pytest.raises(ValueError, match="missing"):
         fit_logreg(np.zeros((5, 2)), [0, 0, 2, 2, 2])
+
+
+@pytest.mark.parametrize("labels,named", [
+    ([-1, 0, 1, 0, 1], "[-1]"),
+    ([0, 1, -3, -1, -3], "[-3, -1]"),
+    ([-2, 0, 0, 0, 0], "[-2]"),
+])
+def test_negative_labels_rejected_by_name(labels, named):
+    with pytest.raises(ValueError, match=r"non-negative class ids, got " + re.escape(named)):
+        fit_logreg(np.zeros((5, 2)), labels)
 
 
 def test_non_convergence_flag():
