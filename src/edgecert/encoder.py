@@ -102,16 +102,23 @@ def init_params(f_dim: int, h_dim: int, d_dim: int, p_dim: int, seed: int) -> En
 
 
 def forward_cache(p: EncoderParams, A, X: np.ndarray) -> dict:
-    """Every intermediate of the forward pass over adjacency A and features X."""
+    """The forward pass over adjacency A and features X: the outputs Z and H
+    plus what the backward pass reads.
+
+    The relus run in place. ``U1_pos`` is the mask ``U1 > 0`` of the first
+    pre-activation U1 = T1 @ W1, which equals ``relu(U1) > 0``; the second
+    relu's mask is ``S1 > 0``.
+    """
     T1 = A @ X
-    U1 = T1 @ p.W1
-    R1 = relu(U1)
+    R1 = T1 @ p.W1
+    U1_pos = R1 > 0
+    np.maximum(R1, 0.0, out=R1)
     T2 = A @ R1
     Z = T2 @ p.W2
-    Q1 = Z @ p.P1 + p.b1
-    S1 = relu(Q1)
+    S1 = Z @ p.P1 + p.b1
+    np.maximum(S1, 0.0, out=S1)
     H = S1 @ p.P2 + p.b2
-    return {"A": A, "T1": T1, "U1": U1, "R1": R1, "T2": T2, "Z": Z, "Q1": Q1, "S1": S1, "H": H}
+    return {"A": A, "T1": T1, "U1_pos": U1_pos, "T2": T2, "Z": Z, "S1": S1, "H": H}
 
 
 def forward(g: Graph, p: EncoderParams) -> Embeddings:

@@ -301,6 +301,8 @@ def _parse_label_lines(path, n_nodes: int) -> list[tuple[int, int]]:
             raise ParseError(path, lineno, "expected 'id c'")
         node = _parse_int(tokens[0], path, lineno, "node id")
         cls = _parse_int(tokens[1], path, lineno, "class id")
+        if cls > np.iinfo(np.int64).max:
+            raise ParseError(path, lineno, f"class id {cls} does not fit in int64")
         if node >= n_nodes:
             raise ValueError(f"{path}:{lineno}: node id {node} out of range")
         if node in seen:

@@ -28,6 +28,10 @@ _PARAM_NAMES = ("W1", "W2", "P1", "b1", "P2", "b2")
 
 # Scratch memory for one row block of InfoNCE scores, in bytes.
 NCE_BLOCK_BYTES = 1 << 20
+# Fewest nodes at which an executor runs the two InfoNCE passes concurrently.
+# Below it the hand-off costs more than the second thread saves: on 2 cores
+# with one BLAS thread the pool lost at 100-200 nodes and won from 250-450 on.
+NCE_POOL_MIN_NODES = 400
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -109,28 +113,27 @@ def _drop_edges(g: Graph, p_drop: float, rng: np.random.Generator) -> Graph:
     return Graph(g.n_nodes, g.edges[keep], g.features, g.labels)
 
 
-def _anchor_pass(N: np.ndarray, other: np.ndarray, tau: float):
+def _anchor_pass(B, B_tau, tau, terms, dB, S_buf, prod):
     """InfoNCE terms of the anchors in one view and their gradient.
 
-    Anchor i scores against B = [other; N] with its own row of N masked out,
-    so each row of a (rows, 2n) score block is a whole softmax row: the
-    block's exponentials give both its log-sum-exps and its weights. Returns
-    the per-anchor terms lse_i - pos_i and the (2n, p) gradient of their
-    sum / (2n) w.r.t. B. Calls numpy only, so the two views' passes can run
-    on two threads.
+    The anchors are N = B[n:]; anchor i scores against every row of the keys
+    B = [other; N] with its own row of N masked out, so each row of a
+    (rows, 2n) score block is a whole softmax row: the block's exponentials
+    give both its log-sum-exps and its weights. Writes the per-anchor terms
+    lse_i - pos_i into terms (n) and adds the gradient of their sum / (2n)
+    w.r.t. B into dB (2n, p). The score blocks go to S_buf (rows, 2n) and
+    each block's key gradient to prod (2n, p), so a pass allocates only
+    block-sized arrays. Calls numpy only, so the two views' passes can run
+    on two threads, each with its own S_buf and prod.
     """
-    n = N.shape[0]
-    B = np.concatenate([other, N])
-    B_tau = B / tau
-    terms = np.empty(n)
-    dB = np.zeros_like(B)
+    n = terms.shape[0]
+    N = B[n:]
     c = 1.0 / (2.0 * n * tau)
-    rows = min(n, max(1, NCE_BLOCK_BYTES // (16 * n)))
-    buf = np.empty((rows, 2 * n))
+    rows = S_buf.shape[0]
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         A = N[lo:hi]
-        S = np.matmul(A, B_tau.T, out=buf[: hi - lo])
+        S = np.matmul(A, B_tau.T, out=S_buf[: hi - lo])
         r = np.arange(hi - lo)
         pos = S[r, lo + r]
         S[r, n + lo + r] = -np.inf
@@ -144,8 +147,7 @@ def _anchor_pass(N: np.ndarray, other: np.ndarray, tau: float):
         S[r, lo + r] -= s
         w = (c / s)[:, None]
         dB[n + lo : n + hi] += (S @ B) * w
-        dB += S.T @ (A * w)
-    return terms, dB
+        dB += np.matmul(S.T, A * w, out=prod)
 
 
 def _nce_terms(H1: np.ndarray, H2: np.ndarray, tau: float, executor: Executor | None = None):
@@ -153,45 +155,73 @@ def _nce_terms(H1: np.ndarray, H2: np.ndarray, tau: float, executor: Executor | 
 
     Anchor i of view 1 scores its positive N1[i] . N2[i] / tau against every
     other row of N2 and N1; anchors of view 2 likewise with the views
-    swapped. Each view is one pass over row blocks of about NCE_BLOCK_BYTES
-    (see _anchor_pass), so no n x n array exists. With an executor the two
-    passes run concurrently; their results are combined in a fixed order,
-    so the output does not depend on it.
+    swapped. Both views read their keys from one stack C = [N2; N1; N2]:
+    view 1's are C[:2n] and view 2's C[n:]. Each view is one pass over row
+    blocks of about NCE_BLOCK_BYTES (see _anchor_pass), so no n x n array
+    exists, and every array a pass writes is allocated here. With an
+    executor and at least NCE_POOL_MIN_NODES nodes, the two passes run
+    concurrently; their results are combined in a fixed order, so the output
+    does not depend on it.
     """
     if H1.shape != H2.shape:
         raise ValueError("view embeddings must have the same shape")
-    n = H1.shape[0]
+    n, p = H1.shape
     r1 = np.linalg.norm(H1, axis=1)
     r2 = np.linalg.norm(H2, axis=1)
     if np.any(r1 == 0.0) or np.any(r2 == 0.0):
         raise ValueError("zero-norm embedding row in contrastive loss")
-    N1 = H1 / r1[:, None]
-    N2 = H2 / r2[:, None]
-    mapper = map if executor is None else executor.map
-    (t1, dB1), (t2, dB2) = mapper(_anchor_pass, (N1, N2), (N2, N1), (tau, tau))
-    loss = float((t1.mean() + t2.mean()) / 2.0)
-    dN1 = dB1[n:] + dB2[:n]
-    dN2 = dB1[:n] + dB2[n:]
+    C = np.empty((3 * n, p))
+    N2 = np.divide(H2, r2[:, None], out=C[:n])
+    N1 = np.divide(H1, r1[:, None], out=C[n : 2 * n])
+    C[2 * n :] = N2
+    C_tau = C / tau
+    terms = np.empty((2, n))
+    dB1, dB2 = np.zeros((2 * n, p)), np.zeros((2 * n, p))
+    rows = min(n, max(1, NCE_BLOCK_BYTES // (16 * n)))
+    concurrent = executor is not None and n >= NCE_POOL_MIN_NODES
+    # a score block and a product buffer for each pass that runs at the same time
+    at_once = 2 if concurrent else 1
+    S_buf = np.empty((at_once, rows, 2 * n))
+    prod = np.empty((at_once, 2 * n, p))
+    mapper = executor.map if concurrent else map
+    list(mapper(
+        _anchor_pass,
+        (C[: 2 * n], C[n:]),
+        (C_tau[: 2 * n], C_tau[n:]),
+        (tau, tau),
+        terms,
+        (dB1, dB2),
+        (S_buf[0], S_buf[-1]),
+        (prod[0], prod[-1]),
+    ))
+    loss = float((terms[0].mean() + terms[1].mean()) / 2.0)
+    del C_tau, S_buf, prod  # freed before through_norm's temporaries
+    dB1[n:] += dB2[:n]  # dN1
+    dB1[:n] += dB2[n:]  # dN2
+    del dB2
 
     def through_norm(dN, N, r):
-        return (dN - (dN * N).sum(axis=1, keepdims=True) * N) / r[:, None]
+        dN -= (dN * N).sum(axis=1, keepdims=True) * N
+        dN /= r[:, None]
+        return dN
 
-    return loss, through_norm(dN1, N1, r1), through_norm(dN2, N2, r2)
+    return loss, through_norm(dB1[n:], N1, r1), through_norm(dB1[:n], N2, r2)
 
 
 def _backward(p: EncoderParams, cache: dict, dH: np.ndarray, grads: dict) -> None:
+    S1 = cache["S1"]
     dS1 = dH @ p.P2.T
-    grads["P2"] += cache["S1"].T @ dH
+    grads["P2"] += S1.T @ dH
     grads["b2"] += dH.sum(axis=0)
-    dQ1 = dS1 * (cache["Q1"] > 0)
-    grads["P1"] += cache["Z"].T @ dQ1
-    grads["b1"] += dQ1.sum(axis=0)
-    dZ = dQ1 @ p.P1.T
+    dS1 *= S1 > 0  # dQ1: S1 = relu(Q1) is positive exactly where Q1 is
+    grads["P1"] += cache["Z"].T @ dS1
+    grads["b1"] += dS1.sum(axis=0)
+    dZ = dS1 @ p.P1.T
     grads["W2"] += cache["T2"].T @ dZ
     dT2 = dZ @ p.W2.T
     dR1 = cache["A"] @ dT2  # A~ is symmetric
-    dU1 = dR1 * (cache["U1"] > 0)
-    grads["W1"] += cache["T1"].T @ dU1
+    dR1 *= cache["U1_pos"]  # dU1
+    grads["W1"] += cache["T1"].T @ dR1
 
 
 def loss_and_grads(
@@ -199,13 +229,13 @@ def loss_and_grads(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Full-batch InfoNCE loss over two views plus gradients for all params.
 
-    An executor, if given, runs the two InfoNCE anchor passes concurrently.
+    An executor, if given, runs the two InfoNCE anchor passes concurrently
+    on graphs of at least NCE_POOL_MIN_NODES nodes.
     """
-    A1 = normalized_adjacency(g1)
-    A2 = normalized_adjacency(g2)
-    c1 = forward_cache(p, A1, g1.features)
-    c2 = forward_cache(p, A2, g2.features)
-    loss, dH1, dH2 = _nce_terms(c1["H"], c2["H"], temperature, executor)
+    c1 = forward_cache(p, normalized_adjacency(g1), g1.features)
+    c2 = forward_cache(p, normalized_adjacency(g2), g2.features)
+    # the caches keep only what _backward reads
+    loss, dH1, dH2 = _nce_terms(c1.pop("H"), c2.pop("H"), temperature, executor)
     grads = {name: np.zeros_like(getattr(p, name)) for name in _PARAM_NAMES}
     _backward(p, c1, dH1, grads)
     _backward(p, c2, dH2, grads)
@@ -233,7 +263,8 @@ def train_res(
     """Train the encoder with Adam on the noisy-view contrastive objective.
 
     With workers >= 2 the two InfoNCE anchor passes of each step run on two
-    threads; the result is bit-identical for every worker count.
+    threads, on graphs of at least NCE_POOL_MIN_NODES nodes; the result is
+    bit-identical for every worker count.
     """
     if g.n_nodes < 2:
         raise ValueError("training needs at least 2 nodes")

@@ -527,6 +527,40 @@ def test_stage_loads_no_scipy_nor_numpy_ma(tmp_path, stage, overrides):
         assert (summary["attack_mode"], summary["n_targets"]) == ("targeted", 5)
 
 
+# The peak is VmHWM, the high-water mark of this process's own memory map: a
+# child's ru_maxrss keeps that of the process it was started from, pytest here.
+_TRAIN_RSS_SCRIPT = """
+import os
+import sys
+os.environ["EDGECERT_THREADS"] = sys.argv[3]
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+from edgecert.cli import main
+main(["train", "--config", sys.argv[1], "--out", sys.argv[2]])
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_train_second_worker_adds_little_peak_memory(tmp_path):
+    # the worker thread's InfoNCE pass allocates only block-sized arrays, so
+    # its malloc arena stays small, and the second pass's score block and
+    # product buffer (about 2 MB) are most of the difference; when the passes
+    # allocated their own n-sized scratch, two workers peaked about 10 MB
+    # above one here
+    path = small_config(
+        tmp_path, sbm_nodes_per_block=1000, sbm_p_in=0.004, sbm_p_out=0.0003,
+        epochs=1, h_dim=64, d_dim=32, p_dim=32,
+    )
+    out = tmp_path / "run"
+    cmd_gen(parse_config(path), out)
+    kib = {
+        threads: int(_fresh_python(_TRAIN_RSS_SCRIPT, str(path), str(out), threads)[-1])
+        for threads in ("2", "1")
+    }
+    assert kib["2"] - kib["1"] <= 3 * 1024, kib
+
+
 _CERTIFY_STAGE_POOL_SCRIPT = """
 import os
 import sys

@@ -393,6 +393,18 @@ def test_load_graph_errors_match_line_parser(tmp_path, case):
     assert getattr(got, "lineno", None) == getattr(want, "lineno", None)
 
 
+@pytest.mark.parametrize("later", [
+    pytest.param("1 0\n", id="alone"),
+    pytest.param("1 x\n", id="then-bad-line"),
+])
+def test_load_graph_rejects_class_id_beyond_int64_at_its_line(tmp_path, later):
+    # the line parser's oracle overflows on such a class id, so it has no case above;
+    # a bad line after it must not win
+    paths = _write_files(tmp_path, "0 1\n", "0 1.0\n1 2.0\n", f"0 {_HUGE}\n{later}")
+    with pytest.raises(ParseError, match=rf"y\.txt:1: class id {_HUGE} does not fit in int64"):
+        load_graph(*paths)
+
+
 # ------------------------------------------------------------------ sbm
 
 

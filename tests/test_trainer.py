@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import edgecert.trainer as trainer_mod
 from edgecert.encoder import init_params
-from edgecert.graph import SbmConfig, sbm_generate
+from edgecert.graph import SbmConfig, normalized_adjacency, sbm_generate
 from edgecert.trainer import (
     AugConfig,
     TrainConfig,
@@ -182,6 +182,7 @@ def _views(n, p_dim=32):
 def test_nce_terms_bit_identical_to_full_width_reference(n, block_rows, threaded, monkeypatch):
     # exact until the fused pass: its row-block scores and its gradient sums
     # over blocks round differently, so both now match the oracle to rounding
+    monkeypatch.setattr(trainer_mod, "NCE_POOL_MIN_NODES", 2)  # the pool runs at every n
     if block_rows is not None:
         monkeypatch.setattr(trainer_mod, "NCE_BLOCK_BYTES", 16 * n * block_rows)
     H1, H2 = _views(n)
@@ -193,15 +194,27 @@ def test_nce_terms_bit_identical_to_full_width_reference(n, block_rows, threaded
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+class _CountingPool(ThreadPoolExecutor):
+    maps = 0
+
+    def map(self, *args, **kwargs):
+        self.maps += 1
+        return super().map(*args, **kwargs)
+
+
 @pytest.mark.parametrize("block_rows", [7, None])
-@pytest.mark.parametrize("n", [37, 501])
+@pytest.mark.parametrize(
+    "n", [37, trainer_mod.NCE_POOL_MIN_NODES - 1, trainer_mod.NCE_POOL_MIN_NODES, 501]
+)
 def test_nce_terms_threaded_equals_serial_exactly(n, block_rows, monkeypatch):
     if block_rows is not None:
         monkeypatch.setattr(trainer_mod, "NCE_BLOCK_BYTES", 16 * n * block_rows)
     H1, H2 = _views(n)
     serial = _nce_terms(H1, H2, 0.5)
-    with ThreadPoolExecutor(2) as pool:
+    with _CountingPool(2) as pool:
         threaded = _nce_terms(H1, H2, 0.5, pool)
+    # below the crossover both passes run in the calling thread
+    assert pool.maps == (n >= trainer_mod.NCE_POOL_MIN_NODES)
     assert threaded[0] == serial[0]
     assert np.array_equal(threaded[1], serial[1])
     assert np.array_equal(threaded[2], serial[2])
@@ -238,6 +251,177 @@ def test_nce_terms_peak_memory_under_half_square(threads):
     assert peak <= 0.5 * 8 * n * n
 
 
+class _EachCallMeasured:
+    """An executor whose map runs the calls in turn and records each call's
+    own tracemalloc peak, above what was allocated when it started."""
+
+    def __init__(self):
+        self.peaks = []
+
+    def map(self, fn, *iterables):
+        results = []
+        for args in zip(*iterables):
+            tracemalloc.reset_peak()
+            entry, _ = tracemalloc.get_traced_memory()
+            results.append(fn(*args))
+            self.peaks.append(tracemalloc.get_traced_memory()[1] - entry)
+        return iter(results)
+
+
+def test_anchor_passes_allocate_nothing_n_sized():
+    # every array a pass writes comes from _nce_terms, in the calling thread,
+    # so a worker thread's malloc arena never holds n-sized memory; here one
+    # (n, p) array is 500 KiB and the score block about 1 MiB
+    n = 2000
+    H1, H2 = _views(n)
+    executor = _EachCallMeasured()
+    tracemalloc.start()
+    try:
+        _nce_terms(H1, H2, 0.5, executor)
+    finally:
+        tracemalloc.stop()
+    assert len(executor.peaks) == 2
+    assert max(executor.peaks) < 128 * 1024
+
+
+# -------------------------------------- exact equality with the earlier code
+# The forward cache, InfoNCE passes and backward as they were before the
+# passes took their arrays from the caller, read one key stack and the cache
+# dropped U1, R1 and Q1. Every product and sum is the same and runs in the
+# same order, so the results must be equal, not close.
+
+
+def _old_forward_cache(p, A, X):
+    T1 = A @ X
+    U1 = T1 @ p.W1
+    R1 = np.maximum(U1, 0.0)
+    T2 = A @ R1
+    Z = T2 @ p.W2
+    Q1 = Z @ p.P1 + p.b1
+    S1 = np.maximum(Q1, 0.0)
+    H = S1 @ p.P2 + p.b2
+    return {"A": A, "T1": T1, "U1": U1, "R1": R1, "T2": T2, "Z": Z, "Q1": Q1, "S1": S1, "H": H}
+
+
+def _old_anchor_pass(N, other, tau):
+    n = N.shape[0]
+    B = np.concatenate([other, N])
+    B_tau = B / tau
+    terms = np.empty(n)
+    dB = np.zeros_like(B)
+    c = 1.0 / (2.0 * n * tau)
+    rows = min(n, max(1, trainer_mod.NCE_BLOCK_BYTES // (16 * n)))
+    buf = np.empty((rows, 2 * n))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        A = N[lo:hi]
+        S = np.matmul(A, B_tau.T, out=buf[: hi - lo])
+        r = np.arange(hi - lo)
+        pos = S[r, lo + r]
+        S[r, n + lo + r] = -np.inf
+        m = S.max(axis=1)
+        S -= m[:, None]
+        np.exp(S, out=S)
+        s = S.sum(axis=1)
+        terms[lo:hi] = m + np.log(s) - pos
+        S[r, lo + r] -= s
+        w = (c / s)[:, None]
+        dB[n + lo : n + hi] += (S @ B) * w
+        dB += S.T @ (A * w)
+    return terms, dB
+
+
+def _old_nce_terms(H1, H2, tau, executor=None):
+    n = H1.shape[0]
+    r1 = np.linalg.norm(H1, axis=1)
+    r2 = np.linalg.norm(H2, axis=1)
+    N1 = H1 / r1[:, None]
+    N2 = H2 / r2[:, None]
+    mapper = map if executor is None else executor.map
+    (t1, dB1), (t2, dB2) = mapper(_old_anchor_pass, (N1, N2), (N2, N1), (tau, tau))
+    loss = float((t1.mean() + t2.mean()) / 2.0)
+    dN1 = dB1[n:] + dB2[:n]
+    dN2 = dB1[:n] + dB2[n:]
+
+    def through_norm(dN, N, r):
+        return (dN - (dN * N).sum(axis=1, keepdims=True) * N) / r[:, None]
+
+    return loss, through_norm(dN1, N1, r1), through_norm(dN2, N2, r2)
+
+
+def _old_backward(p, cache, dH, grads):
+    dS1 = dH @ p.P2.T
+    grads["P2"] += cache["S1"].T @ dH
+    grads["b2"] += dH.sum(axis=0)
+    dQ1 = dS1 * (cache["Q1"] > 0)
+    grads["P1"] += cache["Z"].T @ dQ1
+    grads["b1"] += dQ1.sum(axis=0)
+    dZ = dQ1 @ p.P1.T
+    grads["W2"] += cache["T2"].T @ dZ
+    dT2 = dZ @ p.W2.T
+    dR1 = cache["A"] @ dT2
+    dU1 = dR1 * (cache["U1"] > 0)
+    grads["W1"] += cache["T1"].T @ dU1
+
+
+def _old_loss_and_grads(p, g1, g2, temperature, executor=None):
+    c1 = _old_forward_cache(p, normalized_adjacency(g1), g1.features)
+    c2 = _old_forward_cache(p, normalized_adjacency(g2), g2.features)
+    loss, dH1, dH2 = _old_nce_terms(c1["H"], c2["H"], temperature, executor)
+    grads = {name: np.zeros_like(getattr(p, name)) for name in trainer_mod._PARAM_NAMES}
+    _old_backward(p, c1, dH1, grads)
+    _old_backward(p, c2, dH2, grads)
+    return loss, grads
+
+
+def _one_block_sbm(n):
+    # odd n is allowed: one block
+    return sbm_generate(SbmConfig(
+        blocks=1, nodes_per_block=n, p_in=min(1.0, 6.0 / n), p_out=0.0,
+        feature_centers=np.ones((1, 5)), feature_noise_sd=1.0, seed=n,
+    ))
+
+
+_EXACT_CASES = [
+    pytest.param(n, block_rows, workers, id=f"n{n}-rows{block_rows}-w{workers}")
+    for n in (37, 501)
+    for block_rows in (7, None)  # 7 leaves a ragged last block at both sizes
+    for workers in (1, 2)
+]
+
+
+@pytest.mark.parametrize("n,block_rows,workers", _EXACT_CASES)
+def test_loss_and_grads_equal_earlier_code_exactly(n, block_rows, workers, monkeypatch):
+    monkeypatch.setattr(trainer_mod, "NCE_POOL_MIN_NODES", 2)  # two workers run the pool
+    if block_rows is not None:
+        monkeypatch.setattr(trainer_mod, "NCE_BLOCK_BYTES", 16 * n * block_rows)
+    g = _one_block_sbm(n)
+    cfg = train_cfg(seed=n, res_beta=0.3)
+    gi, gj = _epoch_views(g, cfg, epoch=0)
+    p = init_params(g.f_dim, 16, 8, 16, seed=n)
+    with ThreadPoolExecutor(2) if workers > 1 else nullcontext() as pool:
+        loss, grads = loss_and_grads(p, gi, gj, 0.5, pool)
+        old_loss, old_grads = _old_loss_and_grads(p, gi, gj, 0.5, pool)
+    assert loss == old_loss
+    for name in trainer_mod._PARAM_NAMES:
+        assert np.array_equal(grads[name], old_grads[name]), name
+
+
+@pytest.mark.parametrize("n,block_rows,workers", _EXACT_CASES)
+def test_train_res_equals_earlier_code_exactly(n, block_rows, workers, monkeypatch):
+    monkeypatch.setattr(trainer_mod, "NCE_POOL_MIN_NODES", 2)
+    if block_rows is not None:
+        monkeypatch.setattr(trainer_mod, "NCE_BLOCK_BYTES", 16 * n * block_rows)
+    g = _one_block_sbm(n)
+    cfg = train_cfg(epochs=8, seed=n)
+    got = train_res(g, cfg, h_dim=16, d_dim=8, p_dim=16, workers=workers)
+    monkeypatch.setattr(trainer_mod, "loss_and_grads", _old_loss_and_grads)
+    want = train_res(g, cfg, h_dim=16, d_dim=8, p_dim=16, workers=workers)
+    assert got.losses == want.losses
+    for name in trainer_mod._PARAM_NAMES:
+        assert np.array_equal(getattr(got.params, name), getattr(want.params, name)), name
+
+
 # ---------------------------------------------------------------- training
 
 
@@ -272,6 +456,7 @@ def test_train_deterministic():
 
 def test_train_two_workers_equals_one_exactly(monkeypatch):
     g = small_sbm(nodes_per_block=20)
+    monkeypatch.setattr(trainer_mod, "NCE_POOL_MIN_NODES", 2)  # the pool runs at 40 nodes
     monkeypatch.setattr(trainer_mod, "NCE_BLOCK_BYTES", 16 * g.n_nodes * 7)  # ragged blocks
     a = train_res(g, train_cfg(epochs=8), h_dim=8, d_dim=4, p_dim=8, workers=1)
     b = train_res(g, train_cfg(epochs=8), h_dim=8, d_dim=4, p_dim=8, workers=2)
