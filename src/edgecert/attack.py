@@ -16,7 +16,7 @@ import numpy as np
 
 from .certify import base_predict, majority_class, smoothed_predict
 from .encoder import EncoderParams
-from .graph import Graph, pair_slot, slot_pair
+from .graph import Graph, KhopSubgraph, pair_slot, slot_pair
 from .linear_eval import LogRegModel
 from .noise import EdgeDropSpec
 from .rng import derive_seed
@@ -163,6 +163,7 @@ def evasion_eval(
     k_hop: int = 2,
     *,
     attacked: Iterable[Graph] | None = None,
+    subgraphs: Iterable[tuple[KhopSubgraph, KhopSubgraph]] | None = None,
 ) -> EvasionReport:
     """Robust accuracy of the (optionally smoothed) pipeline under attack.
 
@@ -172,25 +173,33 @@ def evasion_eval(
     otherwise the deterministic base pipeline is used. ``attacked`` holds
     the targets' attacked graphs, as :func:`attacked_graphs` draws them when
     not given; passing them lets two pipelines face one attack.
+    ``subgraphs`` holds each target's k-hop subgraphs of the clean and of
+    the attacked graph, extracted per pipeline when not given; passing them
+    lets two pipelines share one extraction.
     """
     if g.labels is None:
         raise ValueError("evasion evaluation needs labeled targets")
     targets = [int(t) for t in targets]
     if attacked is None:
         attacked = attacked_graphs(g, targets, atk)
+    if subgraphs is None:
+        subgraphs = repeat((None, None), len(targets))
 
-    def classify(graph: Graph, node: int, vote_seed: int) -> int:
+    def classify(graph: Graph, node: int, sub: KhopSubgraph | None, view: int) -> int:
         if smoothing is None:
-            return base_predict(graph, node, enc, clf, k_hop)
+            return base_predict(graph, node, enc, clf, k_hop, sub=sub)
         mu, spec = smoothing
-        tally = smoothed_predict(graph, node, enc, clf, mu, spec, k_hop, vote_seed)
+        vote_seed = derive_seed(seed, view, node)
+        tally = smoothed_predict(graph, node, enc, clf, mu, spec, k_hop, vote_seed, sub=sub)
         return majority_class(tally)
 
     rows = []
-    for t, attacked_graph in zip(targets, attacked, strict=True):
+    for t, attacked_graph, (clean_sub, attacked_sub) in zip(
+        targets, attacked, subgraphs, strict=True
+    ):
         budget = attacked_graph.n_edges - g.n_edges
-        clean_pred = classify(g, t, derive_seed(seed, 0, t))
-        attacked_pred = classify(attacked_graph, t, derive_seed(seed, 1, t))
+        clean_pred = classify(g, t, clean_sub, 0)
+        attacked_pred = classify(attacked_graph, t, attacked_sub, 1)
         rows.append(
             EvasionRow(
                 node_id=t,

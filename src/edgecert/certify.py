@@ -334,6 +334,16 @@ def vote_on_struct_vector(
     )
 
 
+def _node_subgraph(g: Graph, node: int, k_hop: int, sub: KhopSubgraph | None) -> KhopSubgraph:
+    """``sub`` when given, after checking that it is centered on ``node``;
+    else the node's k-hop subgraph of g."""
+    if sub is None:
+        return khop_subgraph(g, node, k_hop)
+    if int(sub.nodes[sub.center]) != node:
+        raise ValueError(f"subgraph is centered on node {int(sub.nodes[sub.center])}, not {node}")
+    return sub
+
+
 def smoothed_predict(
     g: Graph,
     node: int,
@@ -343,18 +353,30 @@ def smoothed_predict(
     spec: EdgeDropSpec,
     k_hop: int,
     seed: int,
+    sub: KhopSubgraph | None = None,
 ) -> VoteTally:
-    """Vote tally of the smoothed predictor at one node, deterministic given seed."""
-    return vote_on_struct_vector(khop_subgraph(g, node, k_hop), enc, clf, mu, spec, seed)
+    """Vote tally of the smoothed predictor at one node, deterministic given seed.
+
+    ``sub``, if given, is the node's k-hop subgraph of g, already extracted.
+    """
+    return vote_on_struct_vector(_node_subgraph(g, node, k_hop, sub), enc, clf, mu, spec, seed)
 
 
-def base_predict(g: Graph, node: int, enc: EncoderParams, clf: LogRegModel, k_hop: int) -> int:
+def base_predict(
+    g: Graph,
+    node: int,
+    enc: EncoderParams,
+    clf: LogRegModel,
+    k_hop: int,
+    sub: KhopSubgraph | None = None,
+) -> int:
     """Unsmoothed pipeline: classify the node from its clean k-hop subgraph.
 
     The vote kernel with every edge kept, so smoothing with beta_drop = 0
-    reproduces it vote for vote.
+    reproduces it vote for vote. ``sub``, if given, is the node's k-hop
+    subgraph of g, already extracted.
     """
-    sub = khop_subgraph(g, node, k_hop)
+    sub = _node_subgraph(g, node, k_hop, sub)
     keep = np.ones((1, sub.graph.n_edges), dtype=bool)
     logits = center_logits(sub.graph.edges, keep, sub.graph.features, sub.center, enc, clf)
     return int(np.argmax(logits[0]))

@@ -30,7 +30,7 @@ from .attack import (
 )
 from .certify import certified_accuracy, certify_node, write_certification_report, write_curve
 from .encoder import DEPTH, forward, load_params, save_params
-from .graph import Graph, SbmConfig, load_graph, sbm_generate
+from .graph import Graph, SbmConfig, khop_subgraph, load_graph, sbm_generate
 from .linear_eval import fit_logreg, load_logreg, predict_many, save_logreg
 from .noise import DeltaPolicy, EdgeDropSpec
 from .rng import STREAM_CERTIFY, STREAM_DATASET, STREAM_SPLIT, STREAM_TARGETS, derive_seed, stream_rng
@@ -451,13 +451,15 @@ def cmd_attack(cfg: ExperimentConfig, out_dir: Path) -> dict:
     eval_seed = derive_seed(cfg.seed, 101)
     pipelines = {"smoothed": (cfg.raw["mu"], cfg.edgedrop), "unsmoothed": None}
     rows = {name: [] for name in pipelines}
-    # each target's attack is drawn once, and both pipelines classify it
-    # before the next one is drawn, so one attacked graph is held at a time
-    for t, attacked in zip(targets, attacked_graphs(g, targets, atk)):
+    # each target's attack is drawn, and its clean and attacked subgraphs are
+    # extracted, once; both pipelines classify it before the next one is
+    # drawn, so one attacked graph is held at a time
+    for t, attacked in zip(targets.tolist(), attacked_graphs(g, targets, atk)):
+        subs = [(khop_subgraph(g, t, k_hop), khop_subgraph(attacked, t, k_hop))]
         for name, smoothing in pipelines.items():
             rows[name] += evasion_eval(
-                g, [t], enc, clf, atk,
-                smoothing=smoothing, seed=eval_seed, k_hop=k_hop, attacked=[attacked],
+                g, [t], enc, clf, atk, smoothing=smoothing, seed=eval_seed, k_hop=k_hop,
+                attacked=[attacked], subgraphs=subs,
             ).rows
     smoothed, unsmoothed = (EvasionReport.from_rows(rows[name]) for name in pipelines)
     chash = config_hash(cfg)

@@ -101,24 +101,35 @@ def init_params(f_dim: int, h_dim: int, d_dim: int, p_dim: int, seed: int) -> En
     )
 
 
+def forward_tail(p: EncoderParams, T2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The forward pass from T2 = A~ @ relu(A~ @ X @ W1) on: the output
+    Z = T2 @ W2 and the projection head's hidden layer S1 = relu(Z @ P1 + b1).
+
+    Training's backward pass calls it again rather than keep Z and S1, and
+    gets the same arrays from the same products.
+    """
+    Z = T2 @ p.W2
+    S1 = Z @ p.P1 + p.b1
+    np.maximum(S1, 0.0, out=S1)
+    return Z, S1
+
+
 def forward_cache(p: EncoderParams, A, X: np.ndarray) -> dict:
     """The forward pass over adjacency A and features X: the outputs Z and H
     plus what the backward pass reads.
 
     The relus run in place. ``U1_pos`` is the mask ``U1 > 0`` of the first
-    pre-activation U1 = T1 @ W1, which equals ``relu(U1) > 0``; the second
-    relu's mask is ``S1 > 0``.
+    pre-activation U1 = T1 @ W1, which equals ``relu(U1) > 0``. S1 is not
+    kept: :func:`forward_tail` rebuilds it from ``T2``.
     """
     T1 = A @ X
     R1 = T1 @ p.W1
     U1_pos = R1 > 0
     np.maximum(R1, 0.0, out=R1)
     T2 = A @ R1
-    Z = T2 @ p.W2
-    S1 = Z @ p.P1 + p.b1
-    np.maximum(S1, 0.0, out=S1)
+    Z, S1 = forward_tail(p, T2)
     H = S1 @ p.P2 + p.b2
-    return {"A": A, "T1": T1, "U1_pos": U1_pos, "T2": T2, "Z": Z, "S1": S1, "H": H}
+    return {"A": A, "T1": T1, "U1_pos": U1_pos, "T2": T2, "Z": Z, "H": H}
 
 
 def forward(g: Graph, p: EncoderParams) -> Embeddings:

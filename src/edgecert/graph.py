@@ -411,27 +411,36 @@ def sbm_generate(cfg: SbmConfig) -> Graph:
     p_out. Features are the block center plus i.i.d. Gaussian noise; labels
     are block ids.
 
-    Stream contract: one ``rng.random(n*(n-1)//2)`` call draws a uniform r
-    per pair (u < v) in slot order (see :func:`pair_slot`), and pair (u, v)
-    is an edge when r < p_in within a block or r < p_out across blocks;
-    then ``rng.standard_normal((n, f_dim))`` draws the feature noise. Since
-    p_out <= p_in, only slots with r < p_in are decoded into pairs, so the
-    one float per pair of the stream is the only per-pair array.
+    Stream contract: the stream holds a uniform r per pair (u < v) in slot
+    order (see :func:`pair_slot`), the doubles of one
+    ``rng.random(n*(n-1)//2)`` call, and pair (u, v) is an edge when
+    r < p_in within a block or r < p_out across blocks; then
+    ``rng.standard_normal((n, f_dim))`` draws the feature noise. The
+    uniforms are drawn SBM_BLOCK_PAIRS at a time, which yields the same
+    doubles and leaves the stream at the same place. Since p_out <= p_in,
+    only a block's slots with r < p_in are decoded into pairs, before the
+    next block is drawn, so no array holds one entry per node pair.
     """
     n = cfg.blocks * cfg.nodes_per_block
     labels = np.arange(n, dtype=np.int64) // cfg.nodes_per_block
     rng = np.random.default_rng(cfg.seed)
-    r = rng.random(n * (n - 1) // 2)
-    cand = np.flatnonzero(r < cfg.p_in)
-    u, v = slot_pair(cand, n)
-    keep = (labels[u] == labels[v]) | (r[cand] < cfg.p_out)
-    edges = np.column_stack([u[keep], v[keep]])
+    pairs = n * (n - 1) // 2
+    parts = [np.zeros((0, 2), dtype=np.int64)]
+    for lo in range(0, pairs, SBM_BLOCK_PAIRS):
+        r = rng.random(min(SBM_BLOCK_PAIRS, pairs - lo))
+        cand = np.flatnonzero(r < cfg.p_in)
+        u, v = slot_pair(cand + lo, n)
+        keep = (labels[u] == labels[v]) | (r[cand] < cfg.p_out)
+        parts.append(np.column_stack([u[keep], v[keep]]))
+    edges = np.concatenate(parts)
     f_dim = cfg.feature_centers.shape[1]
     noise = rng.standard_normal((n, f_dim)) * cfg.feature_noise_sd
     features = cfg.feature_centers[labels] + noise
     return Graph(n, edges, features, labels)
 
 
+# The generator draws its per-pair uniforms this many at a time (1 MiB of doubles).
+SBM_BLOCK_PAIRS = 1 << 17
 # Consecutive positions share one scratch block of up to this many arcs' products
 # (1 MiB at width 64), which bounds a product's memory; a longer position has its own.
 GATHER_ARCS = 2048

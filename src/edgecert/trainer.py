@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .encoder import EncoderParams, forward_cache, init_params
+from .encoder import EncoderParams, forward_cache, forward_tail, init_params
 from .graph import Graph, normalized_adjacency
 from .rng import STREAM_AUGMENT, STREAM_GRADCHECK, STREAM_INIT, STREAM_TRAIN_NOISE, derive_seed
 
@@ -208,13 +208,22 @@ def _nce_terms(H1: np.ndarray, H2: np.ndarray, tau: float, executor: Executor | 
     return loss, through_norm(dB1[n:], N1, r1), through_norm(dB1[:n], N2, r2)
 
 
+def _view_cache(p: EncoderParams, g: Graph) -> dict:
+    """One view's forward cache as training keeps it: besides H, only A, T1,
+    U1_pos and T2, which _backward reads. Z goes before the next view's
+    forward runs; _backward rebuilds it and S1 from T2."""
+    cache = forward_cache(p, normalized_adjacency(g), g.features)
+    del cache["Z"]
+    return cache
+
+
 def _backward(p: EncoderParams, cache: dict, dH: np.ndarray, grads: dict) -> None:
-    S1 = cache["S1"]
+    Z, S1 = forward_tail(p, cache["T2"])  # rebuilt, not kept through InfoNCE
     dS1 = dH @ p.P2.T
     grads["P2"] += S1.T @ dH
     grads["b2"] += dH.sum(axis=0)
     dS1 *= S1 > 0  # dQ1: S1 = relu(Q1) is positive exactly where Q1 is
-    grads["P1"] += cache["Z"].T @ dS1
+    grads["P1"] += Z.T @ dS1
     grads["b1"] += dS1.sum(axis=0)
     dZ = dS1 @ p.P1.T
     grads["W2"] += cache["T2"].T @ dZ
@@ -232,9 +241,7 @@ def loss_and_grads(
     An executor, if given, runs the two InfoNCE anchor passes concurrently
     on graphs of at least NCE_POOL_MIN_NODES nodes.
     """
-    c1 = forward_cache(p, normalized_adjacency(g1), g1.features)
-    c2 = forward_cache(p, normalized_adjacency(g2), g2.features)
-    # the caches keep only what _backward reads
+    c1, c2 = _view_cache(p, g1), _view_cache(p, g2)
     loss, dH1, dH2 = _nce_terms(c1.pop("H"), c2.pop("H"), temperature, executor)
     grads = {name: np.zeros_like(getattr(p, name)) for name in _PARAM_NAMES}
     _backward(p, c1, dH1, grads)

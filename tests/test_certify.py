@@ -379,6 +379,21 @@ def test_base_predict_matches_full_forward_on_subgraph():
         assert base_predict(g, node, enc, clf, k_hop=2) == predict(clf, z)
 
 
+def test_predictors_take_the_extracted_subgraph():
+    g, enc, clf = tiny_pipeline(seed=2)
+    spec = EdgeDropSpec(0.5)
+    for node in (1, 7, 15):
+        sub = khop_subgraph(g, node, 2)
+        assert base_predict(g, node, enc, clf, 2, sub=sub) == base_predict(g, node, enc, clf, 2)
+        assert (smoothed_predict(g, node, enc, clf, 40, spec, 2, 11, sub=sub)
+                == smoothed_predict(g, node, enc, clf, 40, spec, 2, 11))
+    other = khop_subgraph(g, 3, 2)
+    with pytest.raises(ValueError, match="centered on node 3, not 1"):
+        base_predict(g, 1, enc, clf, 2, sub=other)
+    with pytest.raises(ValueError, match="centered on node 3, not 1"):
+        smoothed_predict(g, 1, enc, clf, 40, spec, 2, 11, sub=other)
+
+
 def test_certify_node_end_to_end():
     g, enc, clf = tiny_pipeline(seed=6)
     cert_result, tally = certify_node(

@@ -261,7 +261,7 @@ def test_zero_budget_attack_matches_clean(tmp_path):
 
 @pytest.mark.parametrize("mode", ["targeted", "global"])
 def test_attack_stage_draws_each_attack_once(tmp_path, monkeypatch, mode):
-    from edgecert import attack
+    from edgecert import attack, certify, cli, graph
     from edgecert.cli import _attack_targets, _load_checkpoints, load_dataset
     from edgecert.rng import derive_seed
 
@@ -270,17 +270,26 @@ def test_attack_stage_draws_each_attack_once(tmp_path, monkeypatch, mode):
     cmd_gen(cfg, out)
     cmd_train(cfg, out)
     calls = {}
-    for name in ("random_targeted_attack", "random_global_attack", "add_edges"):
-        def counted(*args, _name=name, _original=getattr(attack, name), **kwargs):
-            calls[_name] = calls.get(_name, 0) + 1
+
+    def count(module, name):
+        def counted(*args, _original=getattr(module, name), **kwargs):
+            calls[name] = calls.get(name, 0) + 1
             return _original(*args, **kwargs)
-        monkeypatch.setattr(attack, name, counted)
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("random_targeted_attack", "random_global_attack", "add_edges"):
+        count(attack, name)
+    # every binding of the k-hop extraction that the stage could reach
+    for module in (graph, certify, cli):
+        count(module, "khop_subgraph")
     summary = cmd_attack(cfg, out)
     monkeypatch.undo()
+    # one extraction each of a target's clean and attacked subgraph, which both
+    # pipelines classify
     if mode == "targeted":
-        assert calls == {"random_targeted_attack": 5, "add_edges": 5}
+        assert calls == {"random_targeted_attack": 5, "add_edges": 5, "khop_subgraph": 2 * 5}
     else:
-        assert calls == {"random_global_attack": 1, "add_edges": 1}
+        assert calls == {"random_global_attack": 1, "add_edges": 1, "khop_subgraph": 2 * 5}
 
     # the outputs of two evaluations that each draw their own attacks
     g = load_dataset(cfg, out)
@@ -527,18 +536,26 @@ def test_stage_loads_no_scipy_nor_numpy_ma(tmp_path, stage, overrides):
         assert (summary["attack_mode"], summary["n_targets"]) == ("targeted", 5)
 
 
-# The peak is VmHWM, the high-water mark of this process's own memory map: a
-# child's ru_maxrss keeps that of the process it was started from, pytest here.
-_TRAIN_RSS_SCRIPT = """
+def _peak_kib_script(body):
+    """A script that runs body with one BLAS thread, then prints the process's
+    peak memory in KiB. The peak is VmHWM, the high-water mark of the process's
+    own memory map: a child's ru_maxrss keeps that of the process it was
+    started from, pytest here."""
+    return f"""
 import os
 import sys
-os.environ["EDGECERT_THREADS"] = sys.argv[3]
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
-from edgecert.cli import main
-main(["train", "--config", sys.argv[1], "--out", sys.argv[2]])
+{body}
 with open("/proc/self/status") as fh:
     print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
 """
+
+
+_TRAIN_RSS_SCRIPT = _peak_kib_script("""
+os.environ["EDGECERT_THREADS"] = sys.argv[3]
+from edgecert.cli import main
+main(["train", "--config", sys.argv[1], "--out", sys.argv[2]])
+""")
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
@@ -559,6 +576,34 @@ def test_train_second_worker_adds_little_peak_memory(tmp_path):
         for threads in ("2", "1")
     }
     assert kib["2"] - kib["1"] <= 3 * 1024, kib
+
+
+_GEN_RSS_SCRIPT = _peak_kib_script("""
+from edgecert.cli import main
+main(["gen", "--config", sys.argv[1], "--out", sys.argv[2]])
+""")
+
+_CONFIG_RSS_SCRIPT = _peak_kib_script("""
+from edgecert.cli import parse_config
+parse_config(sys.argv[1])
+""")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_gen_stage_peaks_near_a_process_that_reads_its_config(tmp_path):
+    # the generator holds one block of uniforms, not one per node pair: at
+    # n = 2000 a float64 per pair is 16 MB, and gen peaked about 18 MB above
+    # the config reader; parsing the config is the baseline because deriving
+    # its attack seed is the first numpy.random call, which maps about 2 MB
+    # of library pages that every stage pays
+    path = small_config(
+        tmp_path, sbm_blocks=8, sbm_nodes_per_block=250, sbm_p_in=0.02, sbm_p_out=0.0006,
+    )
+    out = tmp_path / "run"
+    gen = int(_fresh_python(_GEN_RSS_SCRIPT, str(path), str(out))[-1])
+    config_only = int(_fresh_python(_CONFIG_RSS_SCRIPT, str(path))[-1])
+    assert (out / "edges.txt").exists()
+    assert gen - config_only <= 5 * 1024, (gen, config_only)
 
 
 _CERTIFY_STAGE_POOL_SCRIPT = """

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import edgecert.graph as graph_mod
 from edgecert.attack import add_edges
 from edgecert.graph import (
     Graph,
@@ -493,18 +494,38 @@ SBM_SHAPES = [
 ]
 
 
-@pytest.mark.parametrize("blocks,per_block,p_in,p_out", SBM_SHAPES)
-def test_sbm_matches_per_pair_reference(blocks, per_block, p_in, p_out):
+def _assert_sbm_matches_reference(blocks, per_block, probabilities, seeds):
     centers = np.random.default_rng(blocks).standard_normal((blocks, 3))
-    for p_in_, p_out_ in [(p_in, p_out), (0.0, 0.0), (p_out, p_out), (1.0, p_out), (p_in, 0.0)]:
-        for seed in range(3):
-            cfg = sbm_cfg(blocks=blocks, nodes_per_block=per_block, p_in=p_in_, p_out=p_out_,
+    for p_in, p_out in probabilities:
+        for seed in seeds:
+            cfg = sbm_cfg(blocks=blocks, nodes_per_block=per_block, p_in=p_in, p_out=p_out,
                           feature_centers=centers, feature_noise_sd=0.7, seed=seed)
             g = sbm_generate(cfg)
             edges, features, labels = _sbm_generate_reference(cfg)
             assert np.array_equal(g.edges, edges)
             assert np.array_equal(g.features, features)
             assert np.array_equal(g.labels, labels)
+
+
+@pytest.mark.parametrize("blocks,per_block,p_in,p_out", SBM_SHAPES)
+def test_sbm_matches_per_pair_reference(blocks, per_block, p_in, p_out):
+    probabilities = [(p_in, p_out), (0.0, 0.0), (p_out, p_out), (1.0, p_out), (p_in, 0.0)]
+    _assert_sbm_matches_reference(blocks, per_block, probabilities, range(3))
+
+
+@pytest.mark.parametrize("blocks,per_block,p_in,p_out", SBM_SHAPES)
+def test_sbm_small_draw_blocks_match_per_pair_reference(blocks, per_block, p_in, p_out,
+                                                        monkeypatch):
+    # blocks of at most 997 pairs: several per shape, the last one ragged at
+    # both 8x250 shapes, and a boundary inside a row wherever there are 3 pairs
+    n = blocks * per_block
+    pairs = n * (n - 1) // 2
+    block = min(997, max(1, pairs // 5 - 1))
+    monkeypatch.setattr(graph_mod, "SBM_BLOCK_PAIRS", block)
+    if pairs >= 3:
+        u, v = slot_pair(np.arange(block, pairs, block), n)
+        assert (v > u + 1).any()
+    _assert_sbm_matches_reference(blocks, per_block, [(p_in, p_out), (1.0, p_out)], range(2))
 
 
 def test_sbm_peak_memory_under_six_squares():
@@ -520,6 +541,20 @@ def test_sbm_peak_memory_under_six_squares():
     finally:
         tracemalloc.stop()
     assert peak <= 6 * n * n
+
+
+def test_sbm_peak_memory_under_four_mib():
+    # the uniforms are drawn and decoded a block of SBM_BLOCK_PAIRS (1 MiB)
+    # at a time; one float64 per pair peaked at 17.5 MiB here
+    cfg = sbm_cfg(blocks=8, nodes_per_block=250, p_in=0.02, p_out=0.0006,
+                  feature_centers=np.zeros((8, 8)), seed=3)
+    tracemalloc.start()
+    try:
+        sbm_generate(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 # ------------------------------------------------------- normalized adjacency

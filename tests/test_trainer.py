@@ -251,6 +251,28 @@ def test_nce_terms_peak_memory_under_half_square(threads):
     assert peak <= 0.5 * 8 * n * n
 
 
+@pytest.mark.parametrize("threads,bound_mib", [(1, 11), (2, 13)])
+def test_loss_and_grads_step_peak_memory(threads, bound_mib):
+    # through InfoNCE each view keeps only A, T1, U1_pos and T2, and _backward
+    # rebuilds Z and S1 (500 KiB each per view here); keeping them peaked at
+    # 12.6 MiB serial and 14.6 MiB on two threads
+    g = sbm_generate(SbmConfig(
+        blocks=8, nodes_per_block=250, p_in=0.02, p_out=0.0006,
+        feature_centers=np.random.default_rng(0).standard_normal((8, 8)),
+        feature_noise_sd=1.0, seed=1,
+    ))
+    gi, gj = _epoch_views(g, train_cfg(seed=1, res_beta=0.9), epoch=0)
+    p = init_params(g.f_dim, 64, 32, 32, seed=0)
+    with ThreadPoolExecutor(threads) as pool:
+        tracemalloc.start()
+        try:
+            loss_and_grads(p, gi, gj, 0.5, pool if threads > 1 else None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak <= bound_mib * 2**20
+
+
 class _EachCallMeasured:
     """An executor whose map runs the calls in turn and records each call's
     own tracemalloc peak, above what was allocated when it started."""
