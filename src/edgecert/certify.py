@@ -167,12 +167,18 @@ def majority_class(t: VoteTally) -> int:
 
 
 def confidence_bounds(t: VoteTally, alpha: float, n_classes: int) -> ConfidenceBounds:
-    """Simultaneous Beta-quantile bounds on the top-class vote probability.
+    """Beta-quantile bounds on the top-class vote probability.
 
     p_a_lower = B(alpha/C; m_a, mu - m_a + 1) for the majority class, and for
     every other class p_c_upper = B(1 - alpha/C; m_c + 1, mu - m_c), with the
     runner-up bound capped at 1 - p_a_lower. p_c_upper increases with m_c, so
     only the largest other count is bounded, as 1 - B(alpha/C; mu - m_c, m_c + 1).
+
+    Each one-sided bound is taken at alpha/C. For C = 2 the two bounds are one
+    event, so p_a_lower - p_b_upper exceeds the true margin with probability at
+    most alpha. For C >= 3 the two sides fail separately, and a union bound
+    over both sides and all C classes proves only 2*alpha; exact enumeration
+    at C = 3 stays below alpha (tests/test_certify.py).
     """
     if n_classes < 2:
         raise ValueError("need at least 2 classes")
@@ -396,7 +402,13 @@ def certify_node(
     seed: int,
     k_max: int | None = None,
 ) -> tuple[Certificate, VoteTally]:
-    """Full certification of one node: vote, bound, scan for the certified size."""
+    """Full certification of one node: vote, bound, scan for the certified size.
+
+    The scan stops at k_max, by default min(50, d) with d the subgraph's edge
+    count. No rule needs that cap (the `exact` Delta(k) = 1 - beta^k does not
+    depend on d), so a node with few subgraph edges can be reported below the
+    k its bounds certify; a node with d = 0 is reported at most 0.
+    """
     sub = khop_subgraph(g, node, k_hop)
     d = sub.graph.n_edges
     tally = vote_on_struct_vector(sub, enc, clf, mu, spec, seed)

@@ -183,8 +183,12 @@ def resolve_config(values: dict) -> ExperimentConfig:
         raise ValueError(f"unsupported config_version {r['config_version']}")
     if abs(r["train_frac"] + r["val_frac"] + r["test_frac"] - 1.0) > 1e-9:
         raise ValueError("split fractions must sum to 1")
-    if r["mu"] < 1:
-        raise ValueError("mu must be >= 1")
+    for key, least in (("mu", 1), ("h_dim", 1), ("d_dim", 1), ("p_dim", 1),
+                       ("logreg_max_iters", 1), ("attack_num_targets", 0)):
+        if r[key] < least:
+            raise ValueError(f"{key} must be >= {least}")
+    if not r["l2"] >= 0.0:
+        raise ValueError("l2 must be >= 0")
     if not (0.0 < r["alpha"] < 1.0):
         raise ValueError("alpha must be in (0, 1)")
     if r["dataset"] not in ("sbm", "files"):
@@ -194,6 +198,9 @@ def resolve_config(values: dict) -> ExperimentConfig:
             f"k_hop must be >= {DEPTH}, the encoder's depth; "
             f"k_hop = {r['k_hop']} cuts off the receptive field"
         )
+    k_grid = _int_list("k_grid", r["k_grid"])
+    if any(k < 0 for k in k_grid):
+        raise ValueError("k_grid entries must be >= 0")
     e_fixed = r["delta_e_fixed"]
     return ExperimentConfig(
         raw=r,
@@ -201,7 +208,7 @@ def resolve_config(values: dict) -> ExperimentConfig:
         delta_policy=DeltaPolicy(
             r["delta_mode"], None if e_fixed == "" else _typed("delta_e_fixed", e_fixed, int)
         ),
-        k_grid=_int_list("k_grid", r["k_grid"]),
+        k_grid=k_grid,
         train_config=TrainConfig(
             epochs=r["epochs"],
             learning_rate=r["learning_rate"],
@@ -500,16 +507,13 @@ def cmd_report(cfg: ExperimentConfig, out_dir: Path) -> dict:
                 continue
             k, acc = line.split(",")
             curve.append([int(k), float(acc)])
-    import scipy
-
     report = {
-        "schema_version": 1,
+        "schema_version": 2,
         "config_hash": config_hash(cfg),
         "versions": {
             "edgecert": __version__,
             "python": ".".join(map(str, sys.version_info[:3])),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
         "clean_accuracy": {
             "val": train_summary["val_accuracy"],

@@ -38,7 +38,7 @@ class WeibullFit:
 def fit_reverse_weibull(samples, lam: int) -> WeibullFit:
     """Maximum-likelihood two-parameter Weibull fit to the lam smallest margins.
 
-    The shape is found by root finding on the profile-likelihood equation
+    The shape is found by bisection on the profile-likelihood equation
     (to 1e-8); the scale then has a closed form. Requires at least two
     distinct positive values among the lam smallest samples; non-positive
     margins carry no likelihood and are excluded.
@@ -68,11 +68,18 @@ def fit_reverse_weibull(samples, lam: int) -> WeibullFit:
         hi *= 4.0
     if not (profile(lo) < 0 < profile(hi)):
         raise DegenerateFitError("profile likelihood has no root")
-    from scipy.optimize import brentq
-    from scipy.special import logsumexp
-
-    sigma = float(brentq(profile, lo, hi, xtol=1e-8))
-    log_scale = (logsumexp(sigma * y) - np.log(x.size)) / sigma
+    # the profile strictly increases in sigma, so bisection keeps the root bracketed
+    while hi - lo > 1e-8:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # adjacent floats: above ~7e7 their gap exceeds 1e-8
+        if profile(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    sigma = 0.5 * (lo + hi)
+    w = sigma * y
+    log_scale = (w.max() + np.log(np.exp(w - w.max()).sum()) - np.log(x.size)) / sigma
     return WeibullFit(a=float(np.exp(log_scale)), sigma=sigma, lambda_used=lam)
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -218,6 +220,28 @@ def test_bounds_equal_class_by_class_maximum():
         assert b.c_a == c_a
         assert b.p_a_lower == beta_quantile(q, m_a, mu - m_a + 1)
         assert b.p_b_upper == min(max(uppers), 1.0 - b.p_a_lower)
+
+
+def test_bounds_level_holds_exactly_at_three_classes():
+    # every multinomial tally enumerated: the chance that the bound margin
+    # exceeds the true margin p[c_a] - max_{c != c_a} p[c] stays within alpha,
+    # although the union bound proves only 2 * alpha at C = 3
+    probs = [(0.51, 0.49, 0.0), (0.4, 0.3, 0.3), (0.6, 0.2, 0.2)]
+    for mu in (20, 50):
+        tallies = [(a, b, mu - a - b) for a in range(mu + 1) for b in range(mu + 1 - a)]
+        for alpha in (0.1, 0.05):
+            bounds = [
+                confidence_bounds(VoteTally(dict(enumerate(m)), mu, 0), alpha, n_classes=3)
+                for m in tallies
+            ]
+            for p in probs:
+                miss = 0.0
+                for m, b in zip(tallies, bounds):
+                    margin = p[b.c_a] - max(q for c, q in enumerate(p) if c != b.c_a)
+                    if b.p_a_lower - b.p_b_upper > margin:
+                        ways = math.factorial(mu) // math.prod(map(math.factorial, m))
+                        miss += ways * math.prod(q**k for q, k in zip(p, m))
+                assert miss <= alpha, (mu, alpha, p, miss)
 
 
 def test_bounds_rejects_bad_inputs():

@@ -80,10 +80,21 @@ def test_parse_config_rejects_duplicate_key(tmp_path):
     ({"k_grid": "1,x"}, "'x'"),
     ({"epochs": 0}, "epochs"),
     ({"temperature": 0}, "temperature"),
-], ids=["delta_mode", "beta_drop", "delta_e_fixed", "attack_mode", "k_grid", "epochs", "temperature"])
+    ({"k_grid": "0,-1"}, "k_grid entries must be >= 0"),
+    ({"h_dim": 0}, "h_dim must be >= 1"),
+    ({"d_dim": 0}, "d_dim must be >= 1"),
+    ({"p_dim": 0}, "p_dim must be >= 1"),
+    ({"l2": -1}, "l2 must be >= 0"),
+    ({"l2": "nan"}, "l2 must be >= 0"),
+    ({"logreg_max_iters": 0}, "logreg_max_iters must be >= 1"),
+    ({"attack_num_targets": -1}, "attack_num_targets must be >= 0"),
+], ids=["delta_mode", "beta_drop", "delta_e_fixed", "attack_mode", "k_grid", "epochs", "temperature",
+        "k_grid_negative", "h_dim", "d_dim", "p_dim", "l2", "l2_nan", "logreg_max_iters",
+        "attack_num_targets"])
 def test_parse_config_rejects_values_a_later_stage_would(tmp_path, overrides, message):
     # each of these used to pass the parse, so gen and train ran to completion
-    # before certify or attack failed
+    # before a later stage failed or silently wrote nonsense (a "k = -1" curve
+    # row, every test node attacked for attack_num_targets = -1)
     with pytest.raises(ValueError, match=message):
         parse_config(small_config(tmp_path, **overrides))
 
@@ -456,8 +467,8 @@ import edgecert, edgecert.cli
 print(sorted(m for m in sys.modules if m.startswith("multiprocessing")))
 print(sorted(m for m in sys.modules if m.startswith(("concurrent.futures", "logging"))))
 from edgecert import (
-    EdgeDropSpec, SbmConfig, base_predict, confidence_bounds, fit_logreg, init_params,
-    sbm_generate, smoothed_predict,
+    EdgeDropSpec, SbmConfig, base_predict, confidence_bounds, fit_logreg, fit_reverse_weibull,
+    init_params, sbm_generate, smoothed_predict,
 )
 
 g = sbm_generate(SbmConfig(
@@ -468,9 +479,8 @@ enc = init_params(g.f_dim, 4, g.f_dim, 4, seed=0)
 clf = fit_logreg(g.features, g.labels)
 base_predict(g, 0, enc, clf, k_hop=2)
 tally = smoothed_predict(g, 0, enc, clf, mu=8, spec=EdgeDropSpec(0.5), k_hop=2, seed=0)
-heavy = ("scipy.sparse", "scipy.optimize", "scipy.special", "scipy.linalg")
-print(sorted(m for m in sys.modules if m.startswith(heavy)))
 confidence_bounds(tally, alpha=0.001, n_classes=2)
+fit_reverse_weibull(0.3 * np.random.default_rng(0).weibull(2.0, size=200), lam=200)
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
 """
 
@@ -487,11 +497,10 @@ def _fresh_python(script, *args):
 
 
 def test_package_and_vote_load_no_scipy_submodule():
-    # every CLI stage is a fresh process, and gen and attack never call scipy:
-    # importing the package (which leaves the thread pool to train_res) and
-    # voting must not pay for loading scipy, nor must the Beta bounds of the
-    # certify stage
-    assert _fresh_python(_IMPORT_POLICY_SCRIPT) == ["[]", "[]", "[]", "[]"]
+    # numpy is the only runtime dependency: importing the package (which
+    # leaves the thread pool to train_res), voting, the Beta bounds of the
+    # certify stage and the Weibull margin fit load no scipy module at all
+    assert _fresh_python(_IMPORT_POLICY_SCRIPT) == ["[]", "[]", "[]"]
 
 
 _STAGE_SCRIPT = """
@@ -509,6 +518,7 @@ print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma
     pytest.param("certify", {"delta_mode": "exact"}, id="certify-exact"),
     pytest.param("certify", {"delta_mode": "paper"}, id="certify-paper"),
     pytest.param("attack", {}, id="attack"),
+    pytest.param("report", {}, id="report"),
 ])
 def test_stage_loads_no_scipy_nor_numpy_ma(tmp_path, stage, overrides):
     # each stage is a fresh process: loading scipy would set its peak memory,
@@ -518,8 +528,11 @@ def test_stage_loads_no_scipy_nor_numpy_ma(tmp_path, stage, overrides):
     out = tmp_path / "run"
     if stage != "gen":
         cmd_gen(cfg, out)
-    if stage in ("certify", "attack"):
+    if stage in ("certify", "attack", "report"):
         cmd_train(cfg, out)
+    if stage == "report":
+        cmd_certify(cfg, out)
+        cmd_attack(cfg, out)
     assert _fresh_python(_STAGE_SCRIPT, stage, str(path), str(out)) == ["[]", "[]"]
     if stage == "gen":
         assert (out / "features.txt").exists()
@@ -531,9 +544,13 @@ def test_stage_loads_no_scipy_nor_numpy_ma(tmp_path, stage, overrides):
         assert {row.split(",")[7] for row in rows} == {overrides["delta_mode"]}
         # some node reaches the Delta(k >= 1) scan, so paper mode evaluates its bound
         assert any(row.split(",")[8] != "" for row in rows)
-    else:
+    elif stage == "attack":
         summary = json.loads((out / "attack_summary.json").read_text())
         assert (summary["attack_mode"], summary["n_targets"]) == ("targeted", 5)
+    else:
+        report = json.loads((out / "report.json").read_text())
+        assert report["schema_version"] == 2
+        assert sorted(report["versions"]) == ["edgecert", "numpy", "python"]
 
 
 def _peak_kib_script(body):

@@ -55,6 +55,16 @@ def test_weibull_single_positive_value_degenerate():
         fit_reverse_weibull(np.array([0.0, 0.0, 0.3]), lam=3)
 
 
+@pytest.mark.parametrize("gap", [1e-9, 1e-12])
+def test_weibull_nearly_tied_margins_fit(gap):
+    # the shape root is near 1e9 and 1e12, where neighbouring floats are more
+    # than 1e-8 apart; two points give sigma * log(x2/x1) = t with
+    # t * (sigmoid(t) - 1/2) = 1, t ~ 2.3994
+    fit = fit_reverse_weibull(np.array([0.5, 0.5 + gap]), lam=2)
+    assert fit.sigma * np.log1p(gap / 0.5) == pytest.approx(2.3994, rel=1e-3)
+    assert fit.a == pytest.approx(0.5, rel=1e-6)
+
+
 def test_weibull_fit_validates_parameters():
     with pytest.raises(ValueError):
         WeibullFit(a=-1.0, sigma=2.0, lambda_used=5)
