@@ -15,31 +15,15 @@ from math import ceil
 import numpy as np
 
 from .certify import base_predict, majority_class, smoothed_predict
+from .config import AttackSpec, EdgeDropSpec
 from .encoder import EncoderParams
 from .graph import Graph, KhopSubgraph, pair_slot, slot_pair
 from .linear_eval import LogRegModel
-from .noise import EdgeDropSpec
 from .rng import derive_seed
 
 
 class BudgetInfeasibleError(ValueError):
     """Not enough absent node pairs to place the requested edges."""
-
-
-@dataclass(frozen=True)
-class AttackSpec:
-    mode: str  # "targeted" or "global"
-    budget: int = 0  # per-node edge budget (targeted)
-    rate: float = 0.0  # fraction of |E| to inject (global)
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.mode not in ("targeted", "global"):
-            raise ValueError(f"unknown attack mode {self.mode!r}")
-        if self.budget < 0:
-            raise ValueError("budget must be >= 0")
-        if not (0.0 <= self.rate <= 1.0):
-            raise ValueError("rate must be in [0, 1]")
 
 
 def add_edges(g: Graph, new_edges: np.ndarray) -> Graph:

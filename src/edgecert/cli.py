@@ -1,243 +1,36 @@
-"""Experiment orchestration: config files, dataset fixtures, and the
+"""Experiment orchestration: dataset fixtures and the
 gen / train / certify / attack / report subcommands.
 
-Config files are flat ``key = value`` text (see CONFIG_DEFAULTS for the
-schema); every run output carries the sha256 hash of the resolved config.
-All randomness flows from the root seed through named sub-streams, so a rerun
-with the same config is byte-identical apart from wall-time fields.
+Config files are flat ``key = value`` text (see ``edgecert.config``, whose
+parse, defaults and hash are also reached from here); every run output
+carries the sha256 hash of the resolved config. All randomness flows from
+the root seed through named sub-streams, so a rerun with the same config is
+byte-identical apart from wall-time fields.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
+import importlib
 import json
 import os
 import sys
-from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .attack import (
-    AttackSpec,
-    EvasionReport,
-    attacked_graphs,
-    evasion_eval,
-    write_attack_report,
-)
-from .certify import certified_accuracy, certify_node, write_certification_report, write_curve
-from .encoder import DEPTH, forward, load_params, save_params
+from .config import (CONFIG_DEFAULTS, CONFIG_VERSION, ExperimentConfig, config_hash, config_lines,
+                      parse_config, resolve_config)
 from .graph import Graph, SbmConfig, khop_subgraph, load_graph, sbm_generate
-from .linear_eval import fit_logreg, load_logreg, predict_many, save_logreg
-from .noise import DeltaPolicy, EdgeDropSpec
-from .rng import STREAM_CERTIFY, STREAM_DATASET, STREAM_SPLIT, STREAM_TARGETS, derive_seed, stream_rng
-from .trainer import AugConfig, TrainConfig, train_res, write_train_log
+from .rng import (STREAM_ATTACK_EVAL, STREAM_CERTIFY, STREAM_DATASET, STREAM_SPLIT, STREAM_TARGETS,
+                  derive_seed, stream_rng)
 
-CONFIG_VERSION = 1
-
-# Flat key = value schema with defaults; resolve_config gives each value its default's type.
-CONFIG_DEFAULTS: dict[str, object] = {
-    "config_version": CONFIG_VERSION,
-    "seed": 0,
-    # dataset: "sbm" generates a fixture; "files" loads the text formats
-    "dataset": "sbm",
-    "edge_path": "",
-    "feature_path": "",
-    "label_path": "",
-    "sbm_blocks": 2,
-    "sbm_nodes_per_block": 50,
-    "sbm_p_in": 0.2,
-    "sbm_p_out": 0.01,
-    "sbm_feature_dim": 8,
-    "sbm_center_scale": 1.0,
-    "sbm_feature_noise_sd": 1.0,
-    # transductive split fractions (must sum to 1)
-    "train_frac": 0.1,
-    "val_frac": 0.1,
-    "test_frac": 0.8,
-    # encoder dims
-    "h_dim": 64,
-    "d_dim": 32,
-    "p_dim": 32,
-    # training
-    "epochs": 200,
-    "learning_rate": 1e-3,
-    "adam_beta1": 0.9,
-    "adam_beta2": 0.999,
-    "adam_eps": 1e-8,
-    "p_edge_drop_view": 0.2,
-    "p_feat_mask_view": 0.1,
-    "temperature": 0.5,
-    # smoothing / certification
-    "beta_drop": 0.5,
-    "mu": 200,
-    "alpha": 0.001,
-    "k_grid": "0,1,2,3,4,5,6",
-    "delta_mode": "exact",
-    "delta_e_fixed": "",
-    "k_hop": 2,
-    # linear evaluation
-    "l2": 1e-4,
-    "logreg_max_iters": 500,
-    "logreg_tol": 1e-6,
-    # attack
-    "attack_mode": "targeted",
-    "attack_budget": 5,
-    "attack_rate": 0.1,
-    "attack_num_targets": 0,  # 0 = all test nodes
-}
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """A resolved config: its typed values and the stage specs built from them."""
-
-    raw: dict[str, object]
-    edgedrop: EdgeDropSpec
-    delta_policy: DeltaPolicy
-    k_grid: list[int]
-    train_config: TrainConfig
-    attack_spec: AttackSpec
-
-    def __getitem__(self, key):
-        return self.raw[key]
-
-    @property
-    def seed(self) -> int:
-        return self.raw["seed"]
-
-
-class _BadValue(ValueError):
-    """A config value that does not convert to its key's type."""
-
-    def __init__(self, key: str, value, kind: type, part=None):
-        shown = repr(value) if part is None else f"{value!r}: {part!r}"
-        super().__init__(f"{key} = {shown} is not a valid {kind.__name__}")
-        self.key = key
-
-
-def _typed(key: str, value, kind: type):
-    """value as kind; an int key also rejects a number that is not integral."""
-    try:
-        typed = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise _BadValue(key, value, kind) from None
-    if kind is int and not isinstance(value, str) and typed != value:
-        raise _BadValue(key, value, kind)
-    return typed
-
-
-def _int_list(key: str, text: str) -> list[int]:
-    """Comma-separated ints; empty items are skipped."""
-    items = []
-    for tok in text.split(","):
-        if tok.strip():
-            try:
-                items.append(int(tok))
-            except ValueError:
-                raise _BadValue(key, text, int, tok) from None
-    return items
-
-
-def parse_config(path) -> ExperimentConfig:
-    """Read a flat key = value config file; see resolve_config."""
-    values = {}
-    linenos = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in CONFIG_DEFAULTS:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in values:
-                raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
-            values[key] = value.strip()
-            linenos[key] = lineno
-    try:
-        return resolve_config(values)
-    except _BadValue as err:
-        raise ValueError(f"{path}:{linenos[err.key]}: {err}") from None
-
-
-def resolve_config(values: dict) -> ExperimentConfig:
-    """Typed and checked config from key -> value pairs; missing keys take their defaults.
-
-    Each value takes the type of its CONFIG_DEFAULTS entry, and the stage specs
-    are built here, so a value that a later stage would reject fails now. A
-    value that does not convert names its key.
-    """
-    for key in values:
-        if key not in CONFIG_DEFAULTS:
-            raise ValueError(f"unknown config key {key!r}")
-    r = {key: _typed(key, values.get(key, default), type(default))
-         for key, default in CONFIG_DEFAULTS.items()}
-    if r["config_version"] != CONFIG_VERSION:
-        raise ValueError(f"unsupported config_version {r['config_version']}")
-    if abs(r["train_frac"] + r["val_frac"] + r["test_frac"] - 1.0) > 1e-9:
-        raise ValueError("split fractions must sum to 1")
-    for key, least in (("mu", 1), ("h_dim", 1), ("d_dim", 1), ("p_dim", 1),
-                       ("logreg_max_iters", 1), ("attack_num_targets", 0)):
-        if r[key] < least:
-            raise ValueError(f"{key} must be >= {least}")
-    if not r["l2"] >= 0.0:
-        raise ValueError("l2 must be >= 0")
-    if not (0.0 < r["alpha"] < 1.0):
-        raise ValueError("alpha must be in (0, 1)")
-    if r["dataset"] not in ("sbm", "files"):
-        raise ValueError(f"unknown dataset kind {r['dataset']!r}")
-    if r["k_hop"] < DEPTH:
-        raise ValueError(
-            f"k_hop must be >= {DEPTH}, the encoder's depth; "
-            f"k_hop = {r['k_hop']} cuts off the receptive field"
-        )
-    k_grid = _int_list("k_grid", r["k_grid"])
-    if any(k < 0 for k in k_grid):
-        raise ValueError("k_grid entries must be >= 0")
-    e_fixed = r["delta_e_fixed"]
-    return ExperimentConfig(
-        raw=r,
-        edgedrop=EdgeDropSpec(r["beta_drop"]),
-        delta_policy=DeltaPolicy(
-            r["delta_mode"], None if e_fixed == "" else _typed("delta_e_fixed", e_fixed, int)
-        ),
-        k_grid=k_grid,
-        train_config=TrainConfig(
-            epochs=r["epochs"],
-            learning_rate=r["learning_rate"],
-            adam_beta1=r["adam_beta1"],
-            adam_beta2=r["adam_beta2"],
-            adam_eps=r["adam_eps"],
-            seed=r["seed"],
-            aug=AugConfig(
-                p_edge_drop_view=r["p_edge_drop_view"],
-                p_feat_mask_view=r["p_feat_mask_view"],
-                temperature=r["temperature"],
-                res_beta_drop=r["beta_drop"],
-            ),
-        ),
-        attack_spec=AttackSpec(
-            mode=r["attack_mode"],
-            budget=r["attack_budget"],
-            rate=r["attack_rate"],
-            seed=derive_seed(r["seed"], 100),
-        ),
-    )
-
-
-def config_lines(cfg: ExperimentConfig) -> str:
-    return "\n".join(f"{k} = {cfg.raw[k]}" for k in sorted(cfg.raw)) + "\n"
-
-
-def config_hash(cfg: ExperimentConfig) -> str:
-    return hashlib.sha256(config_lines(cfg).encode("utf-8")).hexdigest()
+# Each cmd_* imports the modules of its own stage, so a stage process loads
+# only those (gen and report: none beyond the ones above). main imports them
+# before the config parse, whose SeedSequence loads numpy.random: compiled
+# after it, they left the certify and attack stages peaking 0.5 MB higher.
+_STAGE_MODULES = {"train": ("trainer", "linear_eval"), "certify": ("certify",), "attack": ("attack",)}
 
 
 def _block_centers(blocks: int, f_dim: int, scale: float) -> np.ndarray:
@@ -359,6 +152,10 @@ def cmd_gen(cfg: ExperimentConfig, out_dir: Path) -> None:
 
 def cmd_train(cfg: ExperimentConfig, out_dir: Path) -> dict:
     """Train the encoder, fit the downstream classifier, write checkpoints."""
+    from .encoder import forward, save_params
+    from .linear_eval import fit_logreg, predict_many, save_logreg
+    from .trainer import train_res, write_train_log
+
     out_dir.mkdir(parents=True, exist_ok=True)
     g = load_dataset(cfg, out_dir)
     if g.labels is None:
@@ -407,28 +204,22 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path) -> dict:
     return summary
 
 
-def _certify_one(node, g, enc, clf, cfg: ExperimentConfig):
-    return certify_node(
-        g,
-        int(node),
-        enc,
-        clf,
-        mu=cfg.raw["mu"],
-        spec=cfg.edgedrop,
-        alpha=cfg.raw["alpha"],
-        n_classes=g.n_classes,
-        policy=cfg.delta_policy,
-        k_hop=cfg.raw["k_hop"],
-        seed=derive_seed(cfg.seed, STREAM_CERTIFY, int(node)),
-    )
-
-
 def cmd_certify(cfg: ExperimentConfig, out_dir: Path) -> list:
     """Certify every test node; write the report and the accuracy curve."""
+    from .certify import certified_accuracy, certify_node, write_certification_report, write_curve
+
     g = load_dataset(cfg, out_dir)
     enc, clf = _load_checkpoints(out_dir)
     _, _, test_idx = split_nodes(g.n_nodes, cfg)
-    results = parallel_map(partial(_certify_one, g=g, enc=enc, clf=clf, cfg=cfg), test_idx)
+
+    def certify_one(node):
+        return certify_node(
+            g, int(node), enc, clf, mu=cfg.raw["mu"], spec=cfg.edgedrop, alpha=cfg.raw["alpha"],
+            n_classes=g.n_classes, policy=cfg.delta_policy, k_hop=cfg.raw["k_hop"],
+            seed=derive_seed(cfg.seed, STREAM_CERTIFY, int(node)),
+        )
+
+    results = parallel_map(certify_one, test_idx)
     certs = [cert for cert, _ in results]
     tallies = [tally for _, tally in results]
     truth = g.labels[test_idx]
@@ -449,13 +240,15 @@ def _attack_targets(cfg: ExperimentConfig, test_idx: np.ndarray) -> np.ndarray:
 
 def cmd_attack(cfg: ExperimentConfig, out_dir: Path) -> dict:
     """Evaluate smoothed and unsmoothed pipelines under the configured attack."""
+    from .attack import EvasionReport, attacked_graphs, evasion_eval, write_attack_report
+
     g = load_dataset(cfg, out_dir)
     enc, clf = _load_checkpoints(out_dir)
     _, _, test_idx = split_nodes(g.n_nodes, cfg)
     targets = _attack_targets(cfg, test_idx)
     atk = cfg.attack_spec
     k_hop = cfg.raw["k_hop"]
-    eval_seed = derive_seed(cfg.seed, 101)
+    eval_seed = derive_seed(cfg.seed, STREAM_ATTACK_EVAL)
     pipelines = {"smoothed": (cfg.raw["mu"], cfg.edgedrop), "unsmoothed": None}
     rows = {name: [] for name in pipelines}
     # each target's attack is drawn, and its clean and attacked subgraphs are
@@ -530,6 +323,9 @@ def cmd_report(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
 
 def _load_checkpoints(out_dir: Path):
+    from .encoder import load_params
+    from .linear_eval import load_logreg
+
     enc_path = out_dir / "encoder.ckpt"
     clf_path = out_dir / "classifier.ckpt"
     for path in (enc_path, clf_path):
@@ -554,6 +350,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="override the root seed")
     parser.add_argument("--out", default="edgecert-out", help="output directory")
     args = parser.parse_args(argv)
+    for module in _STAGE_MODULES.get(args.command, ()):
+        importlib.import_module(f".{module}", __package__)
 
     cfg = parse_config(args.config)
     if args.seed is not None:

@@ -15,10 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import read_checkpoint, write_checkpoint
+from .config import DEPTH  # forward's propagation steps, which the config checks k_hop against
 from .graph import Graph, normalized_adjacency
-
-# Propagation steps in forward: a node's output reads its DEPTH-hop neighbourhood.
-DEPTH = 2
 
 
 @dataclass(frozen=True)

@@ -15,19 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DeltaPolicy, EdgeDropSpec
 from .graph import StructVector
 from .rng import STREAM_EDGEDROP, derive_seed
-
-
-@dataclass(frozen=True)
-class EdgeDropSpec:
-    """Per-edge drop probability in [0, 1)."""
-
-    beta_drop: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.beta_drop < 1.0):
-            raise ValueError("beta_drop must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -42,28 +32,6 @@ class NoiseDraw:
             raise ValueError("toggled slots must be strictly increasing")
         toggled.setflags(write=False)
         object.__setattr__(self, "toggled", toggled)
-
-
-@dataclass(frozen=True)
-class DeltaPolicy:
-    """How the certification slack is evaluated.
-
-    mode="exact" uses the collision probability of the sampler itself,
-    1 - beta_drop**k. mode="paper" uses the binomial-ratio bound with the
-    retained edge count e; e_fixed pins e, otherwise e = round(d*(1-beta)).
-    """
-
-    mode: str = "exact"
-    e_fixed: int | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("exact", "paper"):
-            raise ValueError(f"unknown delta mode {self.mode!r}")
-        if self.e_fixed is not None:
-            if self.mode != "paper":
-                raise ValueError("e_fixed only applies to the paper mode")
-            if self.e_fixed < 0:
-                raise ValueError("e_fixed must be non-negative")
 
 
 # splitmix64 increment and finalizer multipliers (Steele, Lea and Flood,

@@ -15,10 +15,13 @@ STREAM_INIT = 3
 STREAM_AUGMENT = 4
 STREAM_TRAIN_NOISE = 5
 STREAM_CERTIFY = 6
-STREAM_ATTACK = 7
+STREAM_ATTACK = 7  # reserved: no stream uses it; do not reuse
 STREAM_GRADCHECK = 8
 STREAM_TARGETS = 9
 STREAM_EDGEDROP = 10
+# the attack spec's seed, and the votes of the attack stage's evaluation
+STREAM_ATTACK_SPEC = 100
+STREAM_ATTACK_EVAL = 101
 
 
 def derive_seed(root: int, *path: int) -> int:

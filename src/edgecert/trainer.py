@@ -9,14 +9,14 @@ similarities divided by the temperature.
 
 from __future__ import annotations
 
-import math
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .config import AugConfig, TrainConfig
 from .encoder import EncoderParams, forward_cache, forward_tail, init_params
 from .graph import Graph, normalized_adjacency
 from .rng import STREAM_AUGMENT, STREAM_GRADCHECK, STREAM_INIT, STREAM_TRAIN_NOISE, derive_seed
@@ -32,46 +32,6 @@ NCE_BLOCK_BYTES = 1 << 20
 # Below it the hand-off costs more than the second thread saves: on 2 cores
 # with one BLAS thread the pool lost at 100-200 nodes and won from 250-450 on.
 NCE_POOL_MIN_NODES = 400
-
-
-def _require_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
-
-
-@dataclass(frozen=True)
-class AugConfig:
-    p_edge_drop_view: float = 0.2
-    p_feat_mask_view: float = 0.1
-    temperature: float = 0.5
-    res_beta_drop: float = 0.0
-
-    def __post_init__(self):
-        for name in ("p_edge_drop_view", "p_feat_mask_view", "res_beta_drop"):
-            value = getattr(self, name)
-            if not (0.0 <= value <= 1.0):
-                raise ValueError(f"{name} must be in [0, 1]")
-        _require_positive("temperature", self.temperature)
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int
-    learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    seed: int = 0
-    aug: AugConfig = field(default_factory=AugConfig)
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        _require_positive("learning_rate", self.learning_rate)
-        _require_positive("adam_eps", self.adam_eps)
-        for name in ("adam_beta1", "adam_beta2"):
-            if not (0.0 <= getattr(self, name) < 1.0):
-                raise ValueError(f"{name} must be in [0, 1)")
 
 
 class TrainingError(RuntimeError):
@@ -283,10 +243,13 @@ def train_res(
     losses: list[float] = []
     wall_ms: list[float] = []
     threads = min(workers, 2)
-    # imported here, so that the other stages, which import this module, load no pool
-    from concurrent.futures import ThreadPoolExecutor
+    executor = nullcontext()
+    if threads > 1:
+        # imported here, as it loads logging: other stages and one worker need neither
+        from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+        executor = ThreadPoolExecutor(threads)
+    with executor as pool:
         for epoch in range(cfg.epochs):
             t0 = time.perf_counter()
             gi, gj = _epoch_views(g, cfg, epoch)

@@ -509,7 +509,24 @@ from edgecert.cli import main
 main([sys.argv[1], "--config", sys.argv[2], "--out", sys.argv[3]])
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
 print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
+print(sorted(m for m in sys.modules if m.startswith("edgecert.")))
+print(sorted(m for m in sys.modules if m.startswith(("concurrent.futures", "logging"))))
 """
+
+
+def _stage_inputs(tmp_path, stage, **overrides):
+    """Config path, config and run directory holding what stage reads."""
+    path = small_config(tmp_path, epochs=3, **overrides)
+    cfg = parse_config(path)
+    out = tmp_path / "run"
+    if stage != "gen":
+        cmd_gen(cfg, out)
+    if stage in ("certify", "attack", "report"):
+        cmd_train(cfg, out)
+    if stage == "report":
+        cmd_certify(cfg, out)
+        cmd_attack(cfg, out)
+    return path, cfg, out
 
 
 @pytest.mark.parametrize("stage,overrides", [
@@ -523,17 +540,8 @@ print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma
 def test_stage_loads_no_scipy_nor_numpy_ma(tmp_path, stage, overrides):
     # each stage is a fresh process: loading scipy would set its peak memory,
     # and numpy.ma is what np.unique imports
-    path = small_config(tmp_path, epochs=3, **overrides)
-    cfg = parse_config(path)
-    out = tmp_path / "run"
-    if stage != "gen":
-        cmd_gen(cfg, out)
-    if stage in ("certify", "attack", "report"):
-        cmd_train(cfg, out)
-    if stage == "report":
-        cmd_certify(cfg, out)
-        cmd_attack(cfg, out)
-    assert _fresh_python(_STAGE_SCRIPT, stage, str(path), str(out)) == ["[]", "[]"]
+    path, cfg, out = _stage_inputs(tmp_path, stage, **overrides)
+    assert _fresh_python(_STAGE_SCRIPT, stage, str(path), str(out))[:2] == ["[]", "[]"]
     if stage == "gen":
         assert (out / "features.txt").exists()
     elif stage == "train":
@@ -551,6 +559,33 @@ def test_stage_loads_no_scipy_nor_numpy_ma(tmp_path, stage, overrides):
         report = json.loads((out / "report.json").read_text())
         assert report["schema_version"] == 2
         assert sorted(report["versions"]) == ["edgecert", "numpy", "python"]
+
+
+_BASE_MODULES = ["edgecert.cli", "edgecert.config", "edgecert.graph", "edgecert.rng"]
+_MODEL_MODULES = ["edgecert.checkpoint", "edgecert.encoder", "edgecert.linear_eval"]
+_CERTIFY_MODULES = [*_BASE_MODULES, *_MODEL_MODULES, "edgecert.certify", "edgecert.noise"]
+
+
+@pytest.mark.parametrize("stage,modules", [
+    pytest.param("gen", _BASE_MODULES, id="gen"),
+    pytest.param("train", [*_BASE_MODULES, *_MODEL_MODULES, "edgecert.trainer"], id="train"),
+    pytest.param("certify", _CERTIFY_MODULES, id="certify"),
+    pytest.param("attack", [*_CERTIFY_MODULES, "edgecert.attack"], id="attack"),
+    pytest.param("report", _BASE_MODULES, id="report"),
+])
+def test_stage_loads_only_the_modules_it_runs(tmp_path, stage, modules):
+    # a stage process compiles every module it imports, so gen and report
+    # load no model code, no stage loads margin, and with one worker (which
+    # _fresh_python sets) train starts no thread pool, so it loads neither
+    # concurrent.futures nor the logging module that comes with it
+    path, _, out = _stage_inputs(tmp_path, stage)
+    loaded = _fresh_python(_STAGE_SCRIPT, stage, str(path), str(out))[2:]
+    assert loaded == [str(sorted(modules)), "[]"]
+
+
+def test_package_import_loads_no_submodule():
+    script = "import sys, edgecert\nprint(sorted(m for m in sys.modules if m.startswith('edgecert.')))"
+    assert _fresh_python(script) == ["[]"]
 
 
 def _peak_kib_script(body):
