@@ -23,6 +23,17 @@ import numpy as np
 _MAGIC = "edgecert-checkpoint v1"
 
 
+class _Entries(dict):
+    """A checkpoint's scalars or tensors; a name it lacks raises ValueError."""
+
+    def __init__(self, path, what: str):
+        super().__init__()
+        self.path, self.what = path, what
+
+    def __missing__(self, name):
+        raise ValueError(f"{self.path}: checkpoint has no {self.what} {name!r}")
+
+
 def write_checkpoint(path, kind: str, scalars: dict, tensors: dict) -> None:
     lines = [_MAGIC, f"kind {kind}"]
     for name, value in scalars.items():
@@ -44,15 +55,15 @@ def write_checkpoint(path, kind: str, scalars: dict, tensors: dict) -> None:
 
 
 def read_checkpoint(path, kind: str) -> tuple[dict, dict]:
-    """Read back (scalars, tensors); validates the format tag and kind."""
+    """Read back (scalars, tensors); validates the format tag, kind and shapes."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh]
     if not lines or lines[0] != _MAGIC:
         raise ValueError(f"{path}: not an edgecert checkpoint")
     if len(lines) < 2 or lines[1] != f"kind {kind}":
         raise ValueError(f"{path}: expected checkpoint kind {kind!r}")
-    scalars: dict = {}
-    tensors: dict = {}
+    scalars = _Entries(path, "scalar")
+    tensors = _Entries(path, "tensor")
     i = 2
     while i < len(lines):
         line = lines[i]
@@ -64,17 +75,17 @@ def read_checkpoint(path, kind: str) -> tuple[dict, dict]:
             i += 1
         elif line.startswith("tensor "):
             parts = line.split()
+            if len(parts) not in (3, 4) or not all(d.isdecimal() for d in parts[2:]):
+                raise ValueError(f"{path}: tensor header {line!r} must give 1 or 2 dimensions")
             name = parts[1]
-            shape = tuple(int(p) for p in parts[2:])
+            shape = tuple(int(d) for d in parts[2:])
             n_rows = shape[0] if len(shape) == 2 else 1
             if i + 1 + n_rows > len(lines):
                 raise ValueError(f"{path}: truncated checkpoint (tensor {name} is cut short)")
-            rows = []
-            for j in range(n_rows):
-                rows.append([float(t) for t in lines[i + 1 + j].split()])
-            arr = np.array(rows, dtype=np.float64)
-            arr = arr.reshape(shape)
-            tensors[name] = arr
+            rows = [[float(t) for t in row.split()] for row in lines[i + 1 : i + 1 + n_rows]]
+            if any(len(row) != shape[-1] for row in rows):
+                raise ValueError(f"{path}: tensor {name} has a row of other than {shape[-1]} values")
+            tensors[name] = np.array(rows, dtype=np.float64).reshape(shape)
             i += 1 + n_rows
         else:
             raise ValueError(f"{path}: unexpected line {line!r}")

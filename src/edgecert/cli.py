@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -106,17 +105,6 @@ def load_dataset(cfg: ExperimentConfig, out_dir: Path) -> Graph:
     return g
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("EDGECERT_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"EDGECERT_THREADS must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise ValueError("EDGECERT_THREADS must be >= 0")
-    return os.cpu_count() or 1 if value == 0 else value
-
-
 def parallel_map(fn, items):
     """Order-preserving map, in this process.
 
@@ -161,14 +149,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path) -> dict:
     if g.labels is None:
         raise ValueError("training requires labeled nodes")
     r = cfg.raw
-    result = train_res(
-        g,
-        cfg.train_config,
-        h_dim=r["h_dim"],
-        d_dim=r["d_dim"],
-        p_dim=r["p_dim"],
-        workers=_worker_count(),
-    )
+    result = train_res(g, cfg.train_config, h_dim=r["h_dim"], d_dim=r["d_dim"], p_dim=r["p_dim"])
     train_idx, val_idx, test_idx = split_nodes(g.n_nodes, cfg)
     Z = forward(g, result.params).Z
     clf = fit_logreg(

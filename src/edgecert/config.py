@@ -253,8 +253,12 @@ def resolve_config(values: dict) -> ExperimentConfig:
          for key, default in CONFIG_DEFAULTS.items()}
     if r["config_version"] != CONFIG_VERSION:
         raise ValueError(f"unsupported config_version {r['config_version']}")
+    for key in ("train_frac", "val_frac", "test_frac"):
+        if not 0.0 <= r[key] <= 1.0:
+            raise ValueError(f"{key} must be in [0, 1], got {r[key]!r}")
     if abs(r["train_frac"] + r["val_frac"] + r["test_frac"] - 1.0) > 1e-9:
         raise ValueError("split fractions must sum to 1")
+    _require_positive("logreg_tol", r["logreg_tol"])
     for key, least in (("mu", 1), ("h_dim", 1), ("d_dim", 1), ("p_dim", 1),
                        ("logreg_max_iters", 1), ("attack_num_targets", 0)):
         if r[key] < least:

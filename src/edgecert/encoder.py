@@ -152,8 +152,8 @@ def save_params(path, p: EncoderParams) -> None:
 
 def load_params(path) -> EncoderParams:
     scalars, tensors = read_checkpoint(path, "encoder")
-    params = EncoderParams(**tensors)
+    params = EncoderParams(**{name: tensors[name] for name in ("W1", "W2", "P1", "b1", "P2", "b2")})
     for key in ("f_dim", "h_dim", "d_dim", "p_dim"):
-        if scalars.get(key) != getattr(params, key):
+        if scalars[key] != getattr(params, key):
             raise ValueError(f"{path}: recorded {key} does not match tensor shapes")
     return params

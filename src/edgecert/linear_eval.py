@@ -73,6 +73,8 @@ def fit_logreg(
     Y = np.asarray(labels, dtype=np.int64)
     if Z.ndim != 2 or Y.shape != (Z.shape[0],):
         raise ValueError("Z_train must be 2-D with one label per row")
+    if not np.all(np.isfinite(Z)):
+        raise ValueError("non-finite embedding")
     if l2 < 0:
         raise ValueError("l2 must be non-negative")
     if Y.size and Y.min() < 0:
@@ -117,7 +119,8 @@ def fit_logreg(
             if step < 1e-20:
                 W_new, b_new, f_new = W, b, f
                 break
-        assert f_new <= f + 1e-15, "descent violated on a convex objective"
+        if not f_new <= f + 1e-15:
+            raise RuntimeError("descent violated on a convex objective")
         W, b, f = W_new, b_new, f_new
     return LogRegModel(W=W, b=b, l2=l2, converged=converged)
 
@@ -156,6 +159,6 @@ def load_logreg(path) -> LogRegModel:
     model = LogRegModel(
         W=tensors["W"], b=tensors["b"], l2=scalars["l2"], converged=scalars["converged"]
     )
-    if scalars.get("n_classes") != model.n_classes or scalars.get("d_dim") != model.d_dim:
+    if scalars["n_classes"] != model.n_classes or scalars["d_dim"] != model.d_dim:
         raise ValueError(f"{path}: recorded dims do not match tensor shapes")
     return model

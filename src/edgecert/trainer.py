@@ -9,6 +9,7 @@ similarities divided by the temperature.
 
 from __future__ import annotations
 
+import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ _PARAM_NAMES = ("W1", "W2", "P1", "b1", "P2", "b2")
 
 # Scratch memory for one row block of InfoNCE scores, in bytes.
 NCE_BLOCK_BYTES = 1 << 20
-# Fewest nodes at which an executor runs the two InfoNCE passes concurrently.
+# Fewest nodes at which train_res runs the two InfoNCE passes on two threads.
 # Below it the hand-off costs more than the second thread saves: on 2 cores
 # with one BLAS thread the pool lost at 100-200 nodes and won from 250-450 on.
 NCE_POOL_MIN_NODES = 400
@@ -119,9 +120,8 @@ def _nce_terms(H1: np.ndarray, H2: np.ndarray, tau: float, executor: Executor | 
     view 1's are C[:2n] and view 2's C[n:]. Each view is one pass over row
     blocks of about NCE_BLOCK_BYTES (see _anchor_pass), so no n x n array
     exists, and every array a pass writes is allocated here. With an
-    executor and at least NCE_POOL_MIN_NODES nodes, the two passes run
-    concurrently; their results are combined in a fixed order, so the output
-    does not depend on it.
+    executor the two passes run concurrently; their results are combined in
+    a fixed order, so the output does not depend on it.
     """
     if H1.shape != H2.shape:
         raise ValueError("view embeddings must have the same shape")
@@ -138,12 +138,11 @@ def _nce_terms(H1: np.ndarray, H2: np.ndarray, tau: float, executor: Executor | 
     terms = np.empty((2, n))
     dB1, dB2 = np.zeros((2 * n, p)), np.zeros((2 * n, p))
     rows = min(n, max(1, NCE_BLOCK_BYTES // (16 * n)))
-    concurrent = executor is not None and n >= NCE_POOL_MIN_NODES
     # a score block and a product buffer for each pass that runs at the same time
-    at_once = 2 if concurrent else 1
+    at_once = 1 if executor is None else 2
     S_buf = np.empty((at_once, rows, 2 * n))
     prod = np.empty((at_once, 2 * n, p))
-    mapper = executor.map if concurrent else map
+    mapper = map if executor is None else executor.map
     list(mapper(
         _anchor_pass,
         (C[: 2 * n], C[n:]),
@@ -198,8 +197,7 @@ def loss_and_grads(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Full-batch InfoNCE loss over two views plus gradients for all params.
 
-    An executor, if given, runs the two InfoNCE anchor passes concurrently
-    on graphs of at least NCE_POOL_MIN_NODES nodes.
+    An executor, if given, runs the two InfoNCE anchor passes concurrently.
     """
     c1, c2 = _view_cache(p, g1), _view_cache(p, g2)
     loss, dH1, dH2 = _nce_terms(c1.pop("H"), c2.pop("H"), temperature, executor)
@@ -219,36 +217,37 @@ def _epoch_views(g: Graph, cfg: TrainConfig, epoch: int) -> tuple[Graph, Graph]:
     return gi, gj
 
 
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on (``taskset -c 0`` makes it one)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def train_res(
     g: Graph,
     cfg: TrainConfig,
     h_dim: int = 64,
     d_dim: int = 32,
     p_dim: int = 32,
-    workers: int = 1,
 ) -> TrainResult:
     """Train the encoder with Adam on the noisy-view contrastive objective.
 
-    With workers >= 2 the two InfoNCE anchor passes of each step run on two
-    threads, on graphs of at least NCE_POOL_MIN_NODES nodes; the result is
-    bit-identical for every worker count.
+    On graphs of at least NCE_POOL_MIN_NODES nodes, in a process that may
+    run on two or more CPUs, the two InfoNCE anchor passes of each step run
+    on two threads; the result is bit-identical either way.
     """
     if g.n_nodes < 2:
         raise ValueError("training needs at least 2 nodes")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     params = init_params(g.f_dim, h_dim, d_dim, p_dim, derive_seed(cfg.seed, STREAM_INIT))
     state_m = {name: np.zeros_like(getattr(params, name)) for name in _PARAM_NAMES}
     state_v = {name: np.zeros_like(getattr(params, name)) for name in _PARAM_NAMES}
     losses: list[float] = []
     wall_ms: list[float] = []
-    threads = min(workers, 2)
     executor = nullcontext()
-    if threads > 1:
-        # imported here, as it loads logging: other stages and one worker need neither
+    if g.n_nodes >= NCE_POOL_MIN_NODES and _usable_cpus() >= 2:
+        # imported here, as it loads logging: other stages and serial training need neither
         from concurrent.futures import ThreadPoolExecutor
 
-        executor = ThreadPoolExecutor(threads)
+        executor = ThreadPoolExecutor(2)
     with executor as pool:
         for epoch in range(cfg.epochs):
             t0 = time.perf_counter()

@@ -1,5 +1,6 @@
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -88,13 +89,25 @@ def test_parse_config_rejects_duplicate_key(tmp_path):
     ({"l2": "nan"}, "l2 must be >= 0"),
     ({"logreg_max_iters": 0}, "logreg_max_iters must be >= 1"),
     ({"attack_num_targets": -1}, "attack_num_targets must be >= 0"),
+    ({"train_frac": -0.1, "val_frac": 0.3, "test_frac": 0.8}, r"train_frac must be in \[0, 1\]"),
+    ({"train_frac": 0.1, "val_frac": -0.1, "test_frac": 1.0}, r"val_frac must be in \[0, 1\]"),
+    ({"train_frac": 0.5, "val_frac": 0.5, "test_frac": "nan"}, r"test_frac must be in \[0, 1\]"),
+    ({"train_frac": "nan"}, r"train_frac must be in \[0, 1\]"),
+    ({"logreg_tol": 0}, "logreg_tol must be finite and positive"),
+    ({"logreg_tol": -1e-6}, "logreg_tol must be finite and positive"),
+    ({"logreg_tol": "nan"}, "logreg_tol must be finite and positive"),
+    ({"logreg_tol": "inf"}, "logreg_tol must be finite and positive"),
 ], ids=["delta_mode", "beta_drop", "delta_e_fixed", "attack_mode", "k_grid", "epochs", "temperature",
         "k_grid_negative", "h_dim", "d_dim", "p_dim", "l2", "l2_nan", "logreg_max_iters",
-        "attack_num_targets"])
+        "attack_num_targets", "train_frac_negative", "val_frac_negative", "test_frac_nan",
+        "train_frac_nan", "logreg_tol_zero", "logreg_tol_negative", "logreg_tol_nan",
+        "logreg_tol_inf"])
 def test_parse_config_rejects_values_a_later_stage_would(tmp_path, overrides, message):
     # each of these used to pass the parse, so gen and train ran to completion
     # before a later stage failed or silently wrote nonsense (a "k = -1" curve
-    # row, every test node attacked for attack_num_targets = -1)
+    # row, every test node attacked for attack_num_targets = -1, train and
+    # test nodes that overlap for train_frac = -0.1, a classifier fit that
+    # runs to logreg_max_iters for a logreg_tol it can never meet)
     with pytest.raises(ValueError, match=message):
         parse_config(small_config(tmp_path, **overrides))
 
@@ -392,43 +405,6 @@ def test_config_hash_stamped_on_every_output(tmp_path):
         assert json.loads(path.read_text())["config_hash"] == expected
 
 
-def test_parallel_map_matches_sequential(tmp_path, monkeypatch):
-    cfg = parse_config(small_config(tmp_path, epochs=5, mu=10))
-    out_seq = tmp_path / "seq"
-    out_par = tmp_path / "par"
-    for out, threads in ((out_seq, "1"), (out_par, "2")):
-        monkeypatch.setenv("EDGECERT_THREADS", threads)
-        cmd_gen(cfg, out)
-        cmd_train(cfg, out)
-        cmd_certify(cfg, out)
-    assert (out_seq / "certify_report.csv").read_bytes() == (
-        out_par / "certify_report.csv"
-    ).read_bytes()
-
-
-def _log_without_wall_ms(path):
-    return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
-
-
-def test_train_outputs_independent_of_thread_count(tmp_path, monkeypatch):
-    import edgecert.trainer as trainer_mod
-
-    monkeypatch.setattr(trainer_mod, "NCE_BLOCK_BYTES", 16 * 24 * 5)  # ragged row blocks
-    cfg = parse_config(small_config(tmp_path))
-    runs = {}
-    for threads in ("1", "2"):
-        monkeypatch.setenv("EDGECERT_THREADS", threads)
-        out = tmp_path / f"threads-{threads}"
-        cmd_gen(cfg, out)
-        cmd_train(cfg, out)
-        runs[threads] = out
-    for name in ("encoder.ckpt", "classifier.ckpt", "train_summary.json"):
-        assert (runs["1"] / name).read_bytes() == (runs["2"] / name).read_bytes()
-    assert _log_without_wall_ms(runs["1"] / "train_log.csv") == _log_without_wall_ms(
-        runs["2"] / "train_log.csv"
-    )
-
-
 def test_train_warns_on_stderr_when_classifier_does_not_converge(tmp_path, capsys):
     quiet = parse_config(small_config(tmp_path, epochs=3, logreg_tol=1e-2))
     cmd_gen(quiet, tmp_path / "quiet")
@@ -487,7 +463,7 @@ print(sorted(m for m in sys.modules if m.startswith("scipy")))
 
 def _fresh_python(script, *args):
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src, "EDGECERT_THREADS": "1"}
+    env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run(
         [sys.executable, "-c", script, *args],
         env=env, capture_output=True, text=True, timeout=120,
@@ -575,9 +551,9 @@ _CERTIFY_MODULES = [*_BASE_MODULES, *_MODEL_MODULES, "edgecert.certify", "edgece
 ])
 def test_stage_loads_only_the_modules_it_runs(tmp_path, stage, modules):
     # a stage process compiles every module it imports, so gen and report
-    # load no model code, no stage loads margin, and with one worker (which
-    # _fresh_python sets) train starts no thread pool, so it loads neither
-    # concurrent.futures nor the logging module that comes with it
+    # load no model code, no stage loads margin, and train on this 24-node
+    # graph (under NCE_POOL_MIN_NODES) starts no thread pool, so it loads
+    # neither concurrent.futures nor the logging module that comes with it
     path, _, out = _stage_inputs(tmp_path, stage)
     loaded = _fresh_python(_STAGE_SCRIPT, stage, str(path), str(out))[2:]
     assert loaded == [str(sorted(modules)), "[]"]
@@ -603,31 +579,84 @@ with open("/proc/self/status") as fh:
 """
 
 
-_TRAIN_RSS_SCRIPT = _peak_kib_script("""
-os.environ["EDGECERT_THREADS"] = sys.argv[3]
+# train pinned to the CPUs in argv[3]; prints the thread-pool modules it
+# loaded, then its peak memory
+_PINNED_TRAIN_SCRIPT = _peak_kib_script("""
+os.sched_setaffinity(0, [int(cpu) for cpu in sys.argv[3].split(",")])
 from edgecert.cli import main
 main(["train", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(sorted(m for m in sys.modules if m.startswith(("concurrent.futures", "logging"))))
 """)
 
+_USABLE_CPUS = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+# train pinned to one usable CPU, and to two
+_CPU_SETS = {k: ",".join(map(str, _USABLE_CPUS[:k])) for k in (1, 2)}
+_needs_two_cpus = pytest.mark.skipif(len(_USABLE_CPUS) < 2, reason="needs two usable CPUs")
 
+
+def _pinned_train(path, out, cpus):
+    """(thread-pool modules line, peak KiB) of a fresh train process on cpus CPUs."""
+    modules, kib = _fresh_python(_PINNED_TRAIN_SCRIPT, str(path), str(out), _CPU_SETS[cpus])[-2:]
+    return modules, int(kib)
+
+
+def _pool_sized_config(tmp_path, **overrides):
+    # 400 nodes, NCE_POOL_MIN_NODES: on two CPUs train runs its thread pool,
+    # and the default 1 MiB score block holds 163 rows, so the last is ragged
+    return small_config(tmp_path, sbm_nodes_per_block=200, sbm_p_in=0.03, sbm_p_out=0.002,
+                        epochs=3, **overrides)
+
+
+def _log_without_wall_ms(path):
+    return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+
+@_needs_two_cpus
+def test_train_loads_concurrent_futures_only_on_two_cpus(tmp_path):
+    path = _pool_sized_config(tmp_path)
+    out = tmp_path / "run"
+    cmd_gen(parse_config(path), out)
+    assert _pinned_train(path, out, 1)[0] == "[]"
+    pooled = _pinned_train(path, out, 2)[0]
+    assert "'concurrent.futures.thread'" in pooled and "'logging'" in pooled
+
+
+@_needs_two_cpus
+def test_train_outputs_independent_of_thread_count(tmp_path):
+    path = _pool_sized_config(tmp_path)
+    runs = {}
+    for cpus in (1, 2):
+        out = tmp_path / f"cpus-{cpus}"
+        cmd_gen(parse_config(path), out)
+        _pinned_train(path, out, cpus)
+        runs[cpus] = out
+    for name in ("encoder.ckpt", "classifier.ckpt", "train_summary.json"):
+        assert (runs[1] / name).read_bytes() == (runs[2] / name).read_bytes()
+    assert _log_without_wall_ms(runs[1] / "train_log.csv") == _log_without_wall_ms(
+        runs[2] / "train_log.csv"
+    )
+
+
+@_needs_two_cpus
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
 def test_train_second_worker_adds_little_peak_memory(tmp_path):
     # the worker thread's InfoNCE pass allocates only block-sized arrays, so
     # its malloc arena stays small, and the second pass's score block and
     # product buffer (about 2 MB) are most of the difference; when the passes
     # allocated their own n-sized scratch, two workers peaked about 10 MB
-    # above one here
+    # above one here. Heap layout alone moves one run's peak by about 1 MB,
+    # so the medians of three alternating runs per side are compared.
     path = small_config(
         tmp_path, sbm_nodes_per_block=1000, sbm_p_in=0.004, sbm_p_out=0.0003,
         epochs=1, h_dim=64, d_dim=32, p_dim=32,
     )
     out = tmp_path / "run"
     cmd_gen(parse_config(path), out)
-    kib = {
-        threads: int(_fresh_python(_TRAIN_RSS_SCRIPT, str(path), str(out), threads)[-1])
-        for threads in ("2", "1")
-    }
-    assert kib["2"] - kib["1"] <= 3 * 1024, kib
+    kib = {2: [], 1: []}
+    for _ in range(3):
+        for cpus in kib:
+            kib[cpus].append(_pinned_train(path, out, cpus)[1])
+    assert statistics.median(kib[2]) - statistics.median(kib[1]) <= 3 * 1024, kib
 
 
 _GEN_RSS_SCRIPT = _peak_kib_script("""
@@ -659,9 +688,7 @@ def test_gen_stage_peaks_near_a_process_that_reads_its_config(tmp_path):
 
 
 _CERTIFY_STAGE_POOL_SCRIPT = """
-import os
 import sys
-os.environ["EDGECERT_THREADS"] = "2"
 from edgecert.cli import main
 main(["certify", "--config", sys.argv[1], "--out", sys.argv[2]])
 print(sorted(m for m in sys.modules
@@ -670,7 +697,7 @@ print(sorted(m for m in sys.modules
 
 
 def test_certify_stage_with_two_workers_starts_no_process_pool(tmp_path):
-    # the certify stage maps its nodes in its own process whatever EDGECERT_THREADS says
+    # the certify stage maps its nodes in its own process on any number of CPUs
     path = small_config(tmp_path, epochs=3)
     cfg = parse_config(path)
     out = tmp_path / "run"

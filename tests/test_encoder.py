@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,57 @@ def test_checkpoint_cut_inside_a_tensor_is_a_value_error(tmp_path, payload_rows)
     path.write_text("\n".join(lines[: header + 1 + payload_rows]) + "\n")
     with pytest.raises(ValueError, match="truncated checkpoint"):
         read_checkpoint(path, "t")
+
+
+def _rewritten(path, edit):
+    """Rewrite a checkpoint through edit(lines) -> lines."""
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+
+
+@pytest.mark.parametrize(
+    "header", ["tensor W 3 2 1", "tensor W", "tensor W 3 2 1 1", "tensor W -1 2", "tensor W 3 x"]
+)
+def test_checkpoint_header_of_other_than_one_or_two_dimensions_names_the_file(tmp_path, header):
+    # "tensor W 3 2 1" reached numpy's reshape error, "tensor W" an IndexError,
+    # "tensor W 3 x" int()'s error, and "tensor W -1 2" reread its own header forever
+    from edgecert.checkpoint import read_checkpoint, write_checkpoint
+
+    path = tmp_path / "t.ckpt"
+    write_checkpoint(path, "t", {}, {"W": np.arange(6.0).reshape(3, 2)})
+    _rewritten(path, lambda lines: [header if line == "tensor W 3 2" else line for line in lines])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: tensor header .* 1 or 2 dim"):
+        read_checkpoint(path, "t")
+
+
+@pytest.mark.parametrize("row", ["0.0", "0.0 1.0 2.0", ""])
+@pytest.mark.parametrize("shape", [(3, 2), (2,)])
+def test_checkpoint_row_of_wrong_width_names_the_file(tmp_path, shape, row):
+    from edgecert.checkpoint import read_checkpoint, write_checkpoint
+
+    path = tmp_path / "t.ckpt"
+    write_checkpoint(path, "t", {}, {"W": np.zeros(shape)})
+    _rewritten(path, lambda lines: lines[:3] + [row] + lines[4:])  # the first payload row
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: tensor W has a row of other"):
+        read_checkpoint(path, "t")
+
+
+@pytest.mark.parametrize("drop, named", [
+    ("scalar h_dim ", "scalar 'h_dim'"),
+    ("tensor b2 ", "tensor 'b2'"),
+])
+def test_load_params_names_the_file_and_what_it_lacks(tmp_path, drop, named):
+    # a missing tensor was a TypeError from EncoderParams, a missing scalar
+    # read as one that "does not match tensor shapes"
+    path = tmp_path / "enc.ckpt"
+    save_params(path, init_params(4, 6, 3, 5, seed=9))
+
+    def without(lines):
+        at = next(i for i, line in enumerate(lines) if line.startswith(drop))
+        return lines[:at] + lines[at + (2 if drop.startswith("tensor") else 1):]
+
+    _rewritten(path, without)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint has no {named}$"):
+        load_params(path)
 
 
 def test_params_validate_shapes():

@@ -1,8 +1,13 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import edgecert.linear_eval as linear_eval_mod
 from edgecert.linear_eval import (
     LogRegModel,
     fit_logreg,
@@ -71,6 +76,50 @@ def test_non_convergence_flag():
     y = rng.integers(0, 2, size=50)
     m = fit_logreg(Z, y, max_iters=2, tol=1e-14)
     assert m.converged is False
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_logreg_rejects_non_finite_embeddings(bad):
+    # a NaN used to end in "descent violated on a convex objective", or under
+    # python -O in an all-zero classifier with converged=False
+    Z = np.random.default_rng(0).standard_normal((6, 2))
+    Z[3, 1] = bad
+    with pytest.raises(ValueError, match="non-finite embedding"):
+        fit_logreg(Z, [0, 1, 0, 1, 0, 1])
+
+
+def test_fit_logreg_raises_when_a_step_does_not_descend(monkeypatch):
+    monkeypatch.setattr(linear_eval_mod, "_objective", lambda *args: float("nan"))
+    with pytest.raises(RuntimeError, match="descent violated"):
+        fit_logreg(np.array([[-1.0], [1.0]]), [0, 1])
+
+
+_OPTIMIZED_FIT_SCRIPT = """
+import numpy as np
+import edgecert.linear_eval as le
+
+for bad_input, error in ((True, ValueError), (False, RuntimeError)):
+    Z = np.array([[-1.0], [np.nan if bad_input else 1.0]])
+    if not bad_input:
+        le._objective = lambda *args: float("nan")
+    try:
+        le.fit_logreg(Z, [0, 1])
+    except error as err:
+        print(type(err).__name__, err)
+"""
+
+
+def test_fit_logreg_checks_hold_under_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_FIT_SCRIPT],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "ValueError non-finite embedding",
+        "RuntimeError descent violated on a convex objective",
+    ]
 
 
 def test_determinism():
@@ -164,3 +213,20 @@ def test_logreg_checkpoint_round_trip(tmp_path):
     assert np.array_equal(m.b, q.b)
     assert q.l2 == m.l2
     assert q.converged is True
+
+
+@pytest.mark.parametrize("drop, named", [
+    ("scalar l2 ", "scalar 'l2'"),
+    ("scalar d_dim ", "scalar 'd_dim'"),
+    ("tensor b ", "tensor 'b'"),
+])
+def test_load_logreg_names_the_file_and_what_it_lacks(tmp_path, drop, named):
+    # a missing l2 line was a bare KeyError: 'l2'
+    path = tmp_path / "clf.ckpt"
+    save_logreg(path, LogRegModel(W=np.ones((2, 3)), b=np.zeros(2), l2=1e-4))
+    lines = path.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith(drop))
+    lines = lines[:at] + lines[at + (2 if drop.startswith("tensor") else 1):]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint has no {named}$"):
+        load_logreg(path)

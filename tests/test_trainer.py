@@ -182,7 +182,6 @@ def _views(n, p_dim=32):
 def test_nce_terms_bit_identical_to_full_width_reference(n, block_rows, threaded, monkeypatch):
     # exact until the fused pass: its row-block scores and its gradient sums
     # over blocks round differently, so both now match the oracle to rounding
-    monkeypatch.setattr(trainer_mod, "NCE_POOL_MIN_NODES", 2)  # the pool runs at every n
     if block_rows is not None:
         monkeypatch.setattr(trainer_mod, "NCE_BLOCK_BYTES", 16 * n * block_rows)
     H1, H2 = _views(n)
@@ -213,8 +212,9 @@ def test_nce_terms_threaded_equals_serial_exactly(n, block_rows, monkeypatch):
     serial = _nce_terms(H1, H2, 0.5)
     with _CountingPool(2) as pool:
         threaded = _nce_terms(H1, H2, 0.5, pool)
-    # below the crossover both passes run in the calling thread
-    assert pool.maps == (n >= trainer_mod.NCE_POOL_MIN_NODES)
+    # a pool that is handed in runs the passes at every size; train_res
+    # decides whether to start one (test_train_res_starts_its_pool_only_...)
+    assert pool.maps == 1
     assert threaded[0] == serial[0]
     assert np.array_equal(threaded[1], serial[1])
     assert np.array_equal(threaded[2], serial[2])
@@ -404,41 +404,65 @@ def _one_block_sbm(n):
     ))
 
 
+def _observe_cpus(monkeypatch, cpus):
+    """Make train_res see cpus usable CPUs."""
+    monkeypatch.setattr(trainer_mod, "_usable_cpus", lambda: cpus)
+
+
+def _spy_loss_and_grads(monkeypatch, check=None):
+    """Record the executor of each loss_and_grads call train_res makes."""
+    executors = []
+
+    def spy(p, g1, g2, temperature, executor=None):
+        executors.append(executor)
+        if check is not None:
+            check(p, g1, g2, temperature, executor)
+        return loss_and_grads(p, g1, g2, temperature, executor)
+
+    monkeypatch.setattr(trainer_mod, "loss_and_grads", spy)
+    return executors
+
+
 _EXACT_CASES = [
-    pytest.param(n, block_rows, workers, id=f"n{n}-rows{block_rows}-w{workers}")
+    pytest.param(n, block_rows, cpus, id=f"n{n}-rows{block_rows}-w{cpus}")
     for n in (37, 501)
     for block_rows in (7, None)  # 7 leaves a ragged last block at both sizes
-    for workers in (1, 2)
+    for cpus in (1, 2)
 ]
 
 
-@pytest.mark.parametrize("n,block_rows,workers", _EXACT_CASES)
-def test_loss_and_grads_equal_earlier_code_exactly(n, block_rows, workers, monkeypatch):
-    monkeypatch.setattr(trainer_mod, "NCE_POOL_MIN_NODES", 2)  # two workers run the pool
+@pytest.mark.parametrize("n,block_rows,cpus", _EXACT_CASES)
+def test_loss_and_grads_equal_earlier_code_exactly(n, block_rows, cpus, monkeypatch):
+    # each step of a training run, on the path its observed CPUs choose
+    _observe_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(trainer_mod, "NCE_POOL_MIN_NODES", 2)  # two CPUs run the pool
     if block_rows is not None:
         monkeypatch.setattr(trainer_mod, "NCE_BLOCK_BYTES", 16 * n * block_rows)
-    g = _one_block_sbm(n)
-    cfg = train_cfg(seed=n, res_beta=0.3)
-    gi, gj = _epoch_views(g, cfg, epoch=0)
-    p = init_params(g.f_dim, 16, 8, 16, seed=n)
-    with ThreadPoolExecutor(2) if workers > 1 else nullcontext() as pool:
-        loss, grads = loss_and_grads(p, gi, gj, 0.5, pool)
-        old_loss, old_grads = _old_loss_and_grads(p, gi, gj, 0.5, pool)
-    assert loss == old_loss
-    for name in trainer_mod._PARAM_NAMES:
-        assert np.array_equal(grads[name], old_grads[name]), name
+
+    def equal_to_old(p, g1, g2, temperature, executor):
+        loss, grads = loss_and_grads(p, g1, g2, temperature, executor)
+        old_loss, old_grads = _old_loss_and_grads(p, g1, g2, temperature, executor)
+        assert loss == old_loss
+        for name in trainer_mod._PARAM_NAMES:
+            assert np.array_equal(grads[name], old_grads[name]), name
+
+    executors = _spy_loss_and_grads(monkeypatch, equal_to_old)
+    cfg = train_cfg(epochs=2, seed=n, res_beta=0.3)
+    train_res(_one_block_sbm(n), cfg, h_dim=16, d_dim=8, p_dim=16)
+    assert [e is not None for e in executors] == [cpus > 1] * 2
 
 
-@pytest.mark.parametrize("n,block_rows,workers", _EXACT_CASES)
-def test_train_res_equals_earlier_code_exactly(n, block_rows, workers, monkeypatch):
+@pytest.mark.parametrize("n,block_rows,cpus", _EXACT_CASES)
+def test_train_res_equals_earlier_code_exactly(n, block_rows, cpus, monkeypatch):
+    _observe_cpus(monkeypatch, cpus)
     monkeypatch.setattr(trainer_mod, "NCE_POOL_MIN_NODES", 2)
     if block_rows is not None:
         monkeypatch.setattr(trainer_mod, "NCE_BLOCK_BYTES", 16 * n * block_rows)
     g = _one_block_sbm(n)
     cfg = train_cfg(epochs=8, seed=n)
-    got = train_res(g, cfg, h_dim=16, d_dim=8, p_dim=16, workers=workers)
+    got = train_res(g, cfg, h_dim=16, d_dim=8, p_dim=16)
     monkeypatch.setattr(trainer_mod, "loss_and_grads", _old_loss_and_grads)
-    want = train_res(g, cfg, h_dim=16, d_dim=8, p_dim=16, workers=workers)
+    want = train_res(g, cfg, h_dim=16, d_dim=8, p_dim=16)
     assert got.losses == want.losses
     for name in trainer_mod._PARAM_NAMES:
         assert np.array_equal(getattr(got.params, name), getattr(want.params, name)), name
@@ -480,16 +504,29 @@ def test_train_two_workers_equals_one_exactly(monkeypatch):
     g = small_sbm(nodes_per_block=20)
     monkeypatch.setattr(trainer_mod, "NCE_POOL_MIN_NODES", 2)  # the pool runs at 40 nodes
     monkeypatch.setattr(trainer_mod, "NCE_BLOCK_BYTES", 16 * g.n_nodes * 7)  # ragged blocks
-    a = train_res(g, train_cfg(epochs=8), h_dim=8, d_dim=4, p_dim=8, workers=1)
-    b = train_res(g, train_cfg(epochs=8), h_dim=8, d_dim=4, p_dim=8, workers=2)
+    runs = {}
+    for cpus in (1, 2):
+        _observe_cpus(monkeypatch, cpus)
+        executors = _spy_loss_and_grads(monkeypatch)
+        runs[cpus] = train_res(g, train_cfg(epochs=8), h_dim=8, d_dim=4, p_dim=8)
+        assert {e is not None for e in executors} == {cpus > 1}
+    a, b = runs[1], runs[2]
     assert a.losses == b.losses
     for name in ("W1", "W2", "P1", "b1", "P2", "b2"):
         assert np.array_equal(getattr(a.params, name), getattr(b.params, name))
 
 
-def test_train_rejects_zero_workers():
-    with pytest.raises(ValueError, match="workers"):
-        train_res(small_sbm(), train_cfg(epochs=1), workers=0)
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("n", [399, 400])
+def test_train_res_starts_its_pool_only_at_400_nodes_on_two_cpus(n, cpus, monkeypatch):
+    assert trainer_mod.NCE_POOL_MIN_NODES == 400
+    _observe_cpus(monkeypatch, cpus)
+    executors = _spy_loss_and_grads(monkeypatch)
+    train_res(_one_block_sbm(n), train_cfg(epochs=2), h_dim=8, d_dim=4, p_dim=8)
+    pooled = n >= 400 and cpus >= 2
+    assert [type(e) for e in executors] == [ThreadPoolExecutor if pooled else type(None)] * 2
+    if pooled:
+        assert executors[0] is executors[1]  # one pool for the whole run
 
 
 @pytest.mark.parametrize("temperature", [0.0, -1.0, math.nan, math.inf])
