@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import EncoderParams, relu
+from .encoder import EncoderParams
 from .graph import Graph, KhopSubgraph, khop_subgraph
 from .linear_eval import LogRegModel, logits_many
 from .noise import DeltaPolicy, EdgeDropSpec, delta_bound, sample_edgedrop
@@ -241,9 +241,14 @@ def certified_accuracy(certs, truth, k_grid) -> list[tuple[int, float]]:
     return curve
 
 
-# Working-memory budget of one center_logits chunk; fixes how many draws share
-# one batched propagation.
-CHUNK_BYTES = 1 << 18
+# Working-memory budget of one center_logits chunk of draws.
+CHUNK_BYTES = 1 << 20
+
+
+def _two_rows(a: np.ndarray) -> np.ndarray:
+    """``a``, a one-row matrix repeated to two rows: OpenBLAS takes its gemv
+    path for a one-row operand, and that path rounds differently."""
+    return np.concatenate((a, a)) if a.shape[0] == 1 else a
 
 
 def center_logits(
@@ -257,18 +262,31 @@ def center_logits(
     """Center-node class logits of a local graph under each row of a keep mask.
 
     ``edges`` is the (d, 2) edge list of an n-node graph and ``keep`` a
-    (draws, d) boolean mask; row i of the (draws, n_classes) result is the
+    boolean (mu, d) mask, mu >= 1; row i of the (mu, n_classes) result is the
     classifier's logits for ``center`` on the graph holding only the edges
     with keep[i] set. The center row of the second propagation reads the
-    first only at the center's closed neighbourhood R, and those rows read
-    the features only at Q, R plus its neighbours. So each draw builds just
-    the (|R|, |Q|) block of its normalized adjacency, from the exact integer
-    degrees (plus the self-loop) of the Q nodes, summed over the edges that
-    touch Q. Draws run in chunks of about CHUNK_BYTES of working memory;
-    the center rows of all draws then meet ``W2`` and the classifier at once.
+    first only at the center's closed neighbourhood R, and row j of the
+    first reads the features only at j's closed neighbourhood, a part of Q,
+    R plus its neighbours. The degrees + 1 of the Q nodes come from one exact
+    product of the keep columns of the edges that touch Q with their 0/1
+    incidence. Then each row j is propagated only in the draws that keep the
+    center's arc to j, over j's own arcs, and added into those draws' center
+    rows. Draws run in chunks of about CHUNK_BYTES of working memory.
+
+    Row i depends only on keep[i]: not on mu, the chunking or the other
+    draws. The degree product is exact in any order, and no other product
+    over draws hands BLAS a one-row operand.
     """
     n = features.shape[0]
     d = edges.shape[0]
+    keep = np.asarray(keep)
+    if keep.dtype != bool or keep.ndim != 2 or keep.shape[0] < 1 or keep.shape[1] != d:
+        raise ValueError(
+            f"keep must be a boolean (mu, {d}) array with mu >= 1, "
+            f"got {keep.dtype} of shape {keep.shape}"
+        )
+    if not 0 <= center < n:
+        raise ValueError(f"center must be in [0, {n}), got {center}")
     # arcs tail -> head: a self-loop per node on keep column d (always kept), then
     # each edge both ways
     nodes = np.arange(n)
@@ -277,39 +295,60 @@ def center_logits(
     arc_edge = np.concatenate([np.full(n, d), np.arange(d), np.arange(d)])
     in_r = np.zeros(n, dtype=bool)
     in_r[head[tail == center]] = True
-    from_r = np.flatnonzero(in_r[tail])
+    # arcs leaving R by tail, then head: each R row's nonzeros, in ascending Q order
+    arcs = np.flatnonzero(in_r[tail])
+    arcs = arcs[np.lexsort((head[arcs], tail[arcs]))]
     in_q = np.zeros(n, dtype=bool)
-    in_q[head[from_r]] = True
-    row = np.cumsum(in_r) - 1
+    in_q[head[arcs]] = True
     col = np.cumsum(in_q) - 1
-    r, q = int(row[-1]) + 1, int(col[-1]) + 1
-    # block nonzeros, one per arc leaving R: the diagonal and the edges at R
-    nz_tail, nz_head, nz_edge = col[tail[from_r]], col[head[from_r]], arc_edge[from_r]
-    nz_flat = row[tail[from_r]] * q + nz_head
-    center_row = row[center] * q + col[in_r]
-    # arcs leaving Q grouped by tail, each group led by its self-loop: the sum
-    # of a group's keep entries is that node's degree + 1
-    by_tail = np.argsort(tail, kind="stable")
-    deg_edge = arc_edge[by_tail[in_q[tail[by_tail]]]]
-    deg_starts = np.flatnonzero(deg_edge == d)
-    XW1 = (features @ enc.W1)[in_q]
-    # float64 words per draw: block rows, first-propagation rows, degree terms, keep row
-    step = max(1, CHUNK_BYTES // (8 * (r * (q + XW1.shape[1]) + deg_edge.size + d + 1)))
-    z = np.empty((keep.shape[0], XW1.shape[1]))
+    q = int(col[-1]) + 1
+    nz_tail, nz_head, nz_edge = col[tail[arcs]], col[head[arcs]], arc_edge[arcs]
+    r_nodes = np.flatnonzero(in_r)
+    starts = np.searchsorted(tail[arcs], r_nodes)
+    ends = np.append(starts[1:], arcs.size)
+    # the center's keep column to each R row
+    center_edges = nz_edge[starts[np.searchsorted(r_nodes, center)] + np.arange(r_nodes.size)]
+    # 0/1 incidence on the Q nodes of the keep columns that touch Q, the
+    # self-loop column d among them
+    from_q = np.flatnonzero(in_q[tail])
+    touch = np.zeros(d + 1, dtype=bool)
+    touch[arc_edge[from_q]] = True
+    at_q = np.flatnonzero(touch)
+    incidence = np.zeros((at_q.size, q), dtype=np.float32)
+    incidence[(np.cumsum(touch) - 1)[arc_edge[from_q]], col[tail[from_q]]] = 1.0
+    # the first layer's input rows, one per block nonzero
+    XW1 = (features @ enc.W1)[head[arcs]]
+    width = XW1.shape[1]
+    # bytes per draw: the keep row, its Q columns as float32, degrees, two
+    # float64 arrays over the block nonzeros, one row's product
+    per_draw = d + 4 * at_q.size + 8 * (2 * q + 2 * arcs.size + width)
+    step = max(1, CHUNK_BYTES // per_draw)
+    z = np.zeros((keep.shape[0], width))
     for lo in range(0, keep.shape[0], step):
         part = keep[lo : lo + step]
-        m = part.shape[0]
-        kf = np.ones((m, d + 1))
-        kf[:, :d] = part
-        # sums of 0.0/1.0 terms are exact
-        dinv = 1.0 / np.sqrt(np.add.reduceat(kf[:, deg_edge], deg_starts, axis=1))
-        block = np.zeros((m, r * q))
-        block[:, nz_flat] = dinv[:, nz_tail] * dinv[:, nz_head] * kf[:, nz_edge]
-        H1 = relu(block.reshape(m * r, q) @ XW1).reshape(m, r, -1)
-        z[lo : lo + m] = (block[:, None, center_row] @ H1)[:, 0]
-    # one product over all draws: BLAS row results can depend on a product's row
-    # count, and the chunk size depends on d, which an attack changes
-    return logits_many(clf, z @ enc.W2)
+        kb = np.ones((part.shape[0], d + 1), dtype=bool)
+        kb[:, :d] = part
+        # sums of 0/1 terms are exact integers, in float32 up to 2**24
+        dinv = 1.0 / np.sqrt(kb[:, at_q].astype(np.float32) @ incidence, dtype=np.float64)
+        # each arc j -> i of row j weighs dinv_j dinv_i, times the center's arc
+        # weight to j: relu is positively homogeneous, so that weight goes in
+        # before the product
+        scale = dinv[:, nz_tail]
+        block = dinv[:, nz_head]
+        block *= scale
+        block *= kb[:, nz_edge]
+        scale *= dinv[:, col[center], None]
+        block *= scale
+        # the draws that keep the center's arc to each row, row by row
+        row_of, draw_of = np.nonzero(kb[:, center_edges].T)
+        bounds = np.searchsorted(row_of, np.arange(r_nodes.size + 1))
+        zc = z[lo : lo + part.shape[0]]
+        for s, e, b0, b1 in zip(starts, ends, bounds[:-1], bounds[1:]):
+            if b1 > b0:
+                took = draw_of[b0:b1]
+                H1 = (_two_rows(block[took, s:e]) @ XW1[s:e])[: took.size]
+                zc[took] += np.maximum(H1, 0.0, out=H1)
+    return logits_many(clf, _two_rows(z) @ enc.W2)[: z.shape[0]]
 
 
 def vote_on_struct_vector(

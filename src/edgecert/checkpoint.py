@@ -70,8 +70,16 @@ def read_checkpoint(path, kind: str) -> tuple[dict, dict]:
         if line == "end":
             return scalars, tensors
         if line.startswith("scalar "):
-            _, name, value = line.split(" ", 2)
-            scalars[name] = ast.literal_eval(value)
+            parts = line.split(" ", 2)
+            if len(parts) != 3:
+                raise ValueError(f"{path}: line {i + 1}: scalar line {line!r} has no value")
+            _, name, value = parts
+            try:
+                scalars[name] = ast.literal_eval(value)
+            except (SyntaxError, ValueError):
+                raise ValueError(
+                    f"{path}: line {i + 1}: scalar {name} value {value!r} is not a literal"
+                ) from None
             i += 1
         elif line.startswith("tensor "):
             parts = line.split()
@@ -82,7 +90,12 @@ def read_checkpoint(path, kind: str) -> tuple[dict, dict]:
             n_rows = shape[0] if len(shape) == 2 else 1
             if i + 1 + n_rows > len(lines):
                 raise ValueError(f"{path}: truncated checkpoint (tensor {name} is cut short)")
-            rows = [[float(t) for t in row.split()] for row in lines[i + 1 : i + 1 + n_rows]]
+            rows = []
+            for lineno, row in enumerate(lines[i + 1 : i + 1 + n_rows], start=i + 2):
+                try:
+                    rows.append([float(t) for t in row.split()])
+                except ValueError as err:
+                    raise ValueError(f"{path}: line {lineno}: tensor {name}: {err}") from None
             if any(len(row) != shape[-1] for row in rows):
                 raise ValueError(f"{path}: tensor {name} has a row of other than {shape[-1]} values")
             tensors[name] = np.array(rows, dtype=np.float64).reshape(shape)

@@ -19,9 +19,17 @@ from .rng import STREAM_ATTACK_SPEC, derive_seed
 DEPTH = 2
 
 
+class _BadValue(ValueError):
+    """A value that config key ``key`` does not take; parse_config adds its line."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key
+
+
 def _require_positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        raise _BadValue(name, f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -182,13 +190,8 @@ class ExperimentConfig:
         return self.raw["seed"]
 
 
-class _BadValue(ValueError):
-    """A config value that does not convert to its key's type."""
-
-    def __init__(self, key: str, value, kind: type, part=None):
-        shown = repr(value) if part is None else f"{value!r}: {part!r}"
-        super().__init__(f"{key} = {shown} is not a valid {kind.__name__}")
-        self.key = key
+def _not_a(key: str, shown: str, kind: type) -> _BadValue:
+    return _BadValue(key, f"{key} = {shown} is not a valid {kind.__name__}")
 
 
 def _typed(key: str, value, kind: type):
@@ -196,9 +199,9 @@ def _typed(key: str, value, kind: type):
     try:
         typed = kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise _BadValue(key, value, kind) from None
+        raise _not_a(key, repr(value), kind) from None
     if kind is int and not isinstance(value, str) and typed != value:
-        raise _BadValue(key, value, kind)
+        raise _not_a(key, repr(value), kind)
     return typed
 
 
@@ -210,7 +213,7 @@ def _int_list(key: str, text: str) -> list[int]:
             try:
                 items.append(int(tok))
             except ValueError:
-                raise _BadValue(key, text, int, tok) from None
+                raise _not_a(key, f"{text!r}: {tok!r}", int) from None
     return items
 
 
@@ -236,7 +239,9 @@ def parse_config(path) -> ExperimentConfig:
     try:
         return resolve_config(values)
     except _BadValue as err:
-        raise ValueError(f"{path}:{linenos[err.key]}: {err}") from None
+        # a key left at its default has no line
+        where = f"{path}:{linenos[err.key]}" if err.key in linenos else str(path)
+        raise ValueError(f"{where}: {err}") from None
 
 
 def resolve_config(values: dict) -> ExperimentConfig:
@@ -244,7 +249,7 @@ def resolve_config(values: dict) -> ExperimentConfig:
 
     Each value takes the type of its CONFIG_DEFAULTS entry, and the stage specs
     are built here, so a value that a later stage would reject fails now. A
-    value that does not convert names its key.
+    value that does not convert, or that its key does not take, names its key.
     """
     for key in values:
         if key not in CONFIG_DEFAULTS:
@@ -252,31 +257,44 @@ def resolve_config(values: dict) -> ExperimentConfig:
     r = {key: _typed(key, values.get(key, default), type(default))
          for key, default in CONFIG_DEFAULTS.items()}
     if r["config_version"] != CONFIG_VERSION:
-        raise ValueError(f"unsupported config_version {r['config_version']}")
-    for key in ("train_frac", "val_frac", "test_frac"):
+        raise _BadValue("config_version", f"unsupported config_version {r['config_version']}")
+    for key in ("train_frac", "val_frac", "test_frac", "sbm_p_in"):
         if not 0.0 <= r[key] <= 1.0:
-            raise ValueError(f"{key} must be in [0, 1], got {r[key]!r}")
+            raise _BadValue(key, f"{key} must be in [0, 1], got {r[key]!r}")
     if abs(r["train_frac"] + r["val_frac"] + r["test_frac"] - 1.0) > 1e-9:
         raise ValueError("split fractions must sum to 1")
+    if not 0.0 <= r["sbm_p_out"] <= r["sbm_p_in"]:
+        raise _BadValue("sbm_p_out", f"sbm_p_out must be in [0, sbm_p_in], got {r['sbm_p_out']!r}")
+    if not 0.0 <= r["sbm_feature_noise_sd"] < math.inf:
+        raise _BadValue(
+            "sbm_feature_noise_sd",
+            f"sbm_feature_noise_sd must be finite and >= 0, got {r['sbm_feature_noise_sd']!r}",
+        )
+    if not -math.inf < r["sbm_center_scale"] < math.inf:
+        raise _BadValue(
+            "sbm_center_scale", f"sbm_center_scale must be finite, got {r['sbm_center_scale']!r}"
+        )
     _require_positive("logreg_tol", r["logreg_tol"])
     for key, least in (("mu", 1), ("h_dim", 1), ("d_dim", 1), ("p_dim", 1),
-                       ("logreg_max_iters", 1), ("attack_num_targets", 0)):
+                       ("logreg_max_iters", 1), ("attack_num_targets", 0), ("seed", 0),
+                       ("sbm_blocks", 1), ("sbm_nodes_per_block", 1), ("sbm_feature_dim", 1)):
         if r[key] < least:
-            raise ValueError(f"{key} must be >= {least}")
+            raise _BadValue(key, f"{key} must be >= {least}, got {r[key]!r}")
     if not r["l2"] >= 0.0:
-        raise ValueError("l2 must be >= 0")
+        raise _BadValue("l2", "l2 must be >= 0")
     if not (0.0 < r["alpha"] < 1.0):
-        raise ValueError("alpha must be in (0, 1)")
+        raise _BadValue("alpha", "alpha must be in (0, 1)")
     if r["dataset"] not in ("sbm", "files"):
-        raise ValueError(f"unknown dataset kind {r['dataset']!r}")
+        raise _BadValue("dataset", f"unknown dataset kind {r['dataset']!r}")
     if r["k_hop"] < DEPTH:
-        raise ValueError(
+        raise _BadValue(
+            "k_hop",
             f"k_hop must be >= {DEPTH}, the encoder's depth; "
-            f"k_hop = {r['k_hop']} cuts off the receptive field"
+            f"k_hop = {r['k_hop']} cuts off the receptive field",
         )
     k_grid = _int_list("k_grid", r["k_grid"])
     if any(k < 0 for k in k_grid):
-        raise ValueError("k_grid entries must be >= 0")
+        raise _BadValue("k_grid", "k_grid entries must be >= 0")
     e_fixed = r["delta_e_fixed"]
     return ExperimentConfig(
         raw=r,

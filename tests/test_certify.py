@@ -516,7 +516,7 @@ def _subgraph_cases():
         yield sub.graph.edges, keep, sub.graph.features, sub.center, enc, clf
 
 
-@pytest.mark.parametrize("chunk_bytes", [1, 1 << 12, 1 << 16, certify_mod.CHUNK_BYTES])
+@pytest.mark.parametrize("chunk_bytes", [1, 1 << 12, 1 << 16, 1 << 18, certify_mod.CHUNK_BYTES])
 def test_center_logits_match_dense_reference(monkeypatch, chunk_bytes):
     # 37 draws is prime, so every chunk size in (1, 37) leaves a short last chunk
     monkeypatch.setattr(certify_mod, "CHUNK_BYTES", chunk_bytes)
@@ -524,6 +524,42 @@ def test_center_logits_match_dense_reference(monkeypatch, chunk_bytes):
         got = center_logits(*case)
         assert got.shape == (37, 2)
         assert np.abs(got - _reference_logits(*case)).max() < 1e-12
+
+
+def test_center_logits_row_depends_only_on_its_draw(monkeypatch):
+    # row i is a function of keep[i] alone: not of mu, the chunking or the other
+    # draws, so a one-draw call and every chunk size give the same bits
+    cases = []
+    for edges, keep, features, center, enc, clf in _subgraph_cases():
+        # exactly one draw keeps the center's arc to one R row: that row's
+        # product has one draw, the padded one-row case
+        arc = np.flatnonzero((edges == center).any(axis=1))[0]
+        keep = keep.copy()
+        keep[:, arc] = False
+        keep[5, arc] = True
+        cases.append((edges, keep, features, center, enc, clf))
+    want = [center_logits(*case) for case in cases]
+    for chunk_bytes in sorted({1, 1 << 12, 1 << 20, certify_mod.CHUNK_BYTES}):
+        monkeypatch.setattr(certify_mod, "CHUNK_BYTES", chunk_bytes)
+        for (edges, keep, *rest), rows in zip(cases, want):
+            assert np.array_equal(center_logits(edges, keep, *rest), rows)
+            for i in range(keep.shape[0]):
+                assert np.array_equal(center_logits(edges, keep[i : i + 1], *rest)[0], rows[i])
+
+
+def test_center_logits_rejects_bad_keep_and_center():
+    _, enc, clf = tiny_pipeline()
+    features = np.random.default_rng(1).standard_normal((4, 3))
+    edges = np.array([[0, 1], [1, 2], [2, 3]])
+    good = np.ones((2, 3), dtype=bool)
+    for keep in [np.full((2, 3), 0.5), good.astype(np.int64), good[0], good[:0],
+                 np.ones((2, 2), dtype=bool)]:
+        with pytest.raises(ValueError, match="keep"):
+            center_logits(edges, keep, features, 0, enc, clf)
+    for center in (-1, 4):
+        with pytest.raises(ValueError, match="center"):
+            center_logits(edges, good, features, center, enc, clf)
+    assert center_logits(edges, good, features, 3, enc, clf).shape == (2, 2)
 
 
 def test_center_logits_single_draw_and_edge_cases():

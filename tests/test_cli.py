@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import statistics
@@ -97,11 +98,22 @@ def test_parse_config_rejects_duplicate_key(tmp_path):
     ({"logreg_tol": -1e-6}, "logreg_tol must be finite and positive"),
     ({"logreg_tol": "nan"}, "logreg_tol must be finite and positive"),
     ({"logreg_tol": "inf"}, "logreg_tol must be finite and positive"),
+    ({"sbm_p_in": 1.5}, r"sbm_p_in must be in \[0, 1\], got 1.5"),
+    ({"sbm_p_out": 0.5}, r"sbm_p_out must be in \[0, sbm_p_in\], got 0.5"),
+    ({"sbm_blocks": 0}, "sbm_blocks must be >= 1"),
+    ({"sbm_nodes_per_block": 0}, "sbm_nodes_per_block must be >= 1"),
+    ({"sbm_feature_dim": 0}, "sbm_feature_dim must be >= 1"),
+    ({"sbm_feature_noise_sd": -1}, "sbm_feature_noise_sd must be finite and >= 0"),
+    ({"sbm_feature_noise_sd": "inf"}, "sbm_feature_noise_sd must be finite and >= 0"),
+    ({"sbm_center_scale": "nan"}, "sbm_center_scale must be finite"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
 ], ids=["delta_mode", "beta_drop", "delta_e_fixed", "attack_mode", "k_grid", "epochs", "temperature",
         "k_grid_negative", "h_dim", "d_dim", "p_dim", "l2", "l2_nan", "logreg_max_iters",
         "attack_num_targets", "train_frac_negative", "val_frac_negative", "test_frac_nan",
         "train_frac_nan", "logreg_tol_zero", "logreg_tol_negative", "logreg_tol_nan",
-        "logreg_tol_inf"])
+        "logreg_tol_inf", "sbm_p_in", "sbm_p_out", "sbm_blocks", "sbm_nodes_per_block",
+        "sbm_feature_dim", "sbm_feature_noise_sd", "sbm_feature_noise_sd_inf",
+        "sbm_center_scale_nan", "seed_negative"])
 def test_parse_config_rejects_values_a_later_stage_would(tmp_path, overrides, message):
     # each of these used to pass the parse, so gen and train ran to completion
     # before a later stage failed or silently wrote nonsense (a "k = -1" curve
@@ -110,6 +122,32 @@ def test_parse_config_rejects_values_a_later_stage_would(tmp_path, overrides, me
     # runs to logreg_max_iters for a logreg_tol it can never meet)
     with pytest.raises(ValueError, match=message):
         parse_config(small_config(tmp_path, **overrides))
+
+
+@pytest.mark.parametrize("line, message", [
+    ("sbm_p_in = 1.5", "sbm_p_in must be in [0, 1], got 1.5"),
+    ("sbm_feature_dim = 0", "sbm_feature_dim must be >= 1, got 0"),
+    ("seed = -1", "seed must be >= 0, got -1"),
+    ("mu = 0", "mu must be >= 1, got 0"),
+    ("temperature = 0", "temperature must be finite and positive, got 0.0"),
+], ids=["sbm_p_in", "sbm_feature_dim", "seed", "mu", "temperature"])
+def test_parse_config_names_key_and_line_of_a_value_its_key_does_not_take(
+        tmp_path, line, message):
+    # sbm_p_in = 1.5 failed only in gen, as "need 0 <= p_out <= p_in <= 1", and
+    # seed = -1 as "seed path entries must be non-negative", naming no key
+    path = tmp_path / "bad.txt"
+    path.write_text(f"# config\nepochs = 3\n{line}\n")
+    with pytest.raises(ValueError) as err:
+        parse_config(path)
+    assert str(err.value) == f"{path}:3: {message}"
+
+
+def test_parse_config_names_the_file_for_a_default_its_value_conflicts_with(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("sbm_p_in = 0.001\n")  # below the default sbm_p_out
+    with pytest.raises(ValueError) as err:
+        parse_config(path)
+    assert str(err.value) == f"{path}: sbm_p_out must be in [0, sbm_p_in], got 0.01"
 
 
 @pytest.mark.parametrize("line, message", [
@@ -429,7 +467,12 @@ def test_train_warns_on_stderr_when_classifier_does_not_converge(tmp_path, capsy
     ("sbm_center_scale", "feature_centers"),
 ])
 def test_gen_rejects_non_finite_sbm_setting(tmp_path, key, field, value):
-    cfg = parse_config(small_config(tmp_path, **{key: value}))
+    # the parse rejects the value, naming its key ...
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        parse_config(small_config(tmp_path, **{key: value}))
+    # ... and gen still rejects it in a config that skipped the parse
+    cfg = parse_config(small_config(tmp_path))
+    cfg = dataclasses.replace(cfg, raw={**cfg.raw, key: float(value)})
     with pytest.raises(ValueError, match=field):
         cmd_gen(cfg, tmp_path / "run")
     assert not (tmp_path / "run" / "features.txt").exists()

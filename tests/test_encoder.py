@@ -189,6 +189,23 @@ def test_checkpoint_row_of_wrong_width_names_the_file(tmp_path, shape, row):
         read_checkpoint(path, "t")
 
 
+@pytest.mark.parametrize("line_no, bad, named", [
+    (3, "scalar l2 1e-4)", "scalar l2 value '1e-4)' is not a literal"),
+    (3, "scalar l2", "scalar line 'scalar l2' has no value"),
+    (5, "0.0 zz", "tensor W: could not convert string to float: 'zz'"),
+], ids=["scalar_syntax", "scalar_no_value", "payload_token"])
+def test_checkpoint_bad_value_names_the_file_and_line(tmp_path, line_no, bad, named):
+    # these raised a bare SyntaxError, "not enough values to unpack" and
+    # float()'s error, naming no file
+    from edgecert.checkpoint import read_checkpoint, write_checkpoint
+
+    path = tmp_path / "t.ckpt"
+    write_checkpoint(path, "t", {"l2": 1e-4}, {"W": np.arange(6.0).reshape(3, 2)})
+    _rewritten(path, lambda lines: lines[: line_no - 1] + [bad] + lines[line_no:])
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line {line_no}: {named}')}$"):
+        read_checkpoint(path, "t")
+
+
 @pytest.mark.parametrize("drop, named", [
     ("scalar h_dim ", "scalar 'h_dim'"),
     ("tensor b2 ", "tensor 'b2'"),

@@ -215,6 +215,22 @@ def test_logreg_checkpoint_round_trip(tmp_path):
     assert q.converged is True
 
 
+@pytest.mark.parametrize("line, bad, named", [
+    ("scalar l2 0.0001", "scalar l2 1e-4)", "scalar l2 value '1e-4)' is not a literal"),
+    ("scalar l2 0.0001", "scalar l2", "scalar line 'scalar l2' has no value"),
+    ("0.0 0.0", "0.0 zz", "tensor b: could not convert string to float: 'zz'"),
+], ids=["scalar_syntax", "scalar_no_value", "payload_token"])
+def test_load_logreg_names_the_file_and_line_of_a_bad_value(tmp_path, line, bad, named):
+    path = tmp_path / "classifier.ckpt"
+    save_logreg(path, LogRegModel(W=np.ones((2, 3)), b=np.zeros(2), l2=1e-4))
+    lines = path.read_text().splitlines()
+    at = lines.index(line)
+    lines[at] = bad
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line {at + 1}: {named}')}$"):
+        load_logreg(path)
+
+
 @pytest.mark.parametrize("drop, named", [
     ("scalar l2 ", "scalar 'l2'"),
     ("scalar d_dim ", "scalar 'd_dim'"),
